@@ -72,13 +72,16 @@ def pagerank(g: DirectedGraph, s=None, alpha: float = 0.85, tol: float = 1e-9,
     if sv.min() < 0.0 or abs(sv.sum() - 1.0) > 1e-9:
         raise ValueError("starting vector must be nonnegative with unit L1 norm")
     x = sv.copy()
+    history: list[float] = []
     for _ in range(max_iter):
         nxt = (1.0 - alpha) * sv + alpha * transfer_apply(g, x, 0.0, dangling_policy)
         diff = float(np.abs(nxt - x).sum())
+        history.append(diff)
         x = nxt
         if diff <= tol:
             return CentralityScores("pagerank", alpha, x, origin)
-    raise ConvergenceError("pagerank did not converge", iterations=max_iter)
+    raise ConvergenceError("pagerank did not converge",
+                           iterations=max_iter, history=history[-8:])
 
 
 def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,

@@ -41,7 +41,10 @@ class DirectedGraph:
 
     out_indptr/out_indices group edge targets by source (targets sorted);
     in_indptr/in_indices group edge sources by destination (sources
-    sorted). Both views describe the same edge set.
+    sorted). Both views describe the same edge set. build_graph makes the
+    arrays read-only, and spectral facts (lambda1, acyclicity, strong
+    connectivity) are cached per graph object, so a graph must never be
+    modified after construction.
     """
 
     node_count: int
@@ -119,6 +122,8 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
     order = np.lexsort((src, dst))
     in_indices = src[order]
 
+    for a in (out_indptr, out_indices, in_indptr, in_indices, out_degree, in_degree):
+        a.setflags(write=False)
     return DirectedGraph(
         node_count=node_count,
         out_indptr=out_indptr,

@@ -247,6 +247,18 @@ def test_pagerank_validates_inputs():
         pagerank(g, s=np.array([1.5, -0.5, 0.0]), alpha=0.5)
 
 
+def test_pagerank_convergence_error_carries_trailing_diffs():
+    g = build_graph(edges_ring(3))
+    with pytest.raises(ConvergenceError) as ei:
+        pagerank(g, s=np.array([1.0, 0.0, 0.0]), alpha=0.85, tol=1e-15, max_iter=20)
+    assert ei.value.iterations == 20
+    hist = ei.value.history
+    assert len(hist) == 8
+    # a contraction by alpha: the L1 diffs shrink but never reach tol
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert hist[-1] > 1e-15
+
+
 def test_normalized_alpha_validates_alpha():
     g = build_graph(edges_ring(3))
     with pytest.raises(ValueError):

@@ -50,6 +50,16 @@ def test_build_graph_drops_self_loops_keeps_isolated_tail():
     assert list(g.out_degree) == [1, 0, 0, 0]
 
 
+def test_build_graph_arrays_are_read_only():
+    g = build_graph(edges_ring(4))
+    with pytest.raises(ValueError, match="read-only"):
+        g.out_indices[0] = 2
+    for a in (g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
+              g.out_degree, g.in_degree):
+        assert not a.flags.writeable
+    assert not g.reverse().out_indices.flags.writeable
+
+
 def test_build_graph_rejects_bad_input():
     with pytest.raises(ValueError, match="empty graph"):
         build_graph([])
