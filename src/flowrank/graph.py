@@ -42,9 +42,8 @@ class DirectedGraph:
     out_indptr/out_indices group edge targets by source (targets sorted);
     in_indptr/in_indices group edge sources by destination (sources
     sorted). Both views describe the same edge set. build_graph makes the
-    arrays read-only, and spectral facts (lambda1, acyclicity, strong
-    connectivity) are cached per graph object, so a graph must never be
-    modified after construction.
+    arrays read-only, and spectral.spectral_radius caches lambda1 per
+    graph object, so a graph must never be modified after construction.
     """
 
     node_count: int

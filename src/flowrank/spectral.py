@@ -3,9 +3,9 @@
 Scalable estimates come from power iteration on the CSR operators; a
 dense eigendecomposition backs them as an oracle for graphs up to a
 small node cap. Structural facts (acyclicity, strong connectivity) are
-decided combinatorially, never from floating-point spectra. lambda1,
-acyclicity and strong connectivity are each computed once per graph
-object and reused by every later call on that object.
+decided combinatorially, never from floating-point spectra. lambda1 is
+computed once per graph object and reused by every later call on that
+object.
 """
 from __future__ import annotations
 
@@ -22,18 +22,10 @@ DENSE_CAP = 64
 _STALL_WINDOW = 100
 _STALL_IMPROVEMENT = 1e-6
 
-# Per-graph facts ({"lambda1": float, "acyclic": bool, "strongly_connected":
-# bool}). Graphs are immutable and hash by identity, so a fact computed once
-# holds for the object's lifetime; weak keys let the graph be collected.
-_FACTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _fact(g: DirectedGraph, name: str, compute):
-    """compute(g), stored on first success and reused for the same graph."""
-    facts = _FACTS.setdefault(g, {})
-    if name not in facts:
-        facts[name] = compute(g)
-    return facts[name]
+# lambda1 per graph. Graphs are immutable and hash by identity, so a value
+# computed once holds for the object's lifetime; weak keys let the graph be
+# collected.
+_LAMBDA1: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -69,10 +61,6 @@ class PathStats:
 
 def is_acyclic(g: DirectedGraph) -> bool:
     """True when the graph has no directed cycle (adjacency nilpotent)."""
-    return _fact(g, "acyclic", _has_topological_order)
-
-
-def _has_topological_order(g: DirectedGraph) -> bool:
     indeg = g.in_degree.copy()
     stack = [int(u) for u in np.flatnonzero(indeg == 0)]
     seen = 0
@@ -102,11 +90,6 @@ def _reaches_all(indptr: np.ndarray, indices: np.ndarray, n: int) -> bool:
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True when every node reaches every other along directed edges."""
-    return _fact(g, "strongly_connected", _strongly_connected)
-
-
-def _strongly_connected(g: DirectedGraph) -> bool:
     if g.node_count == 1:
         return True
     return (_reaches_all(g.out_indptr, g.out_indices, g.node_count)
@@ -217,15 +200,16 @@ def spectral_radius(g: DirectedGraph) -> float:
     iteration. A ConvergenceError is not stored, so it raises again on
     every call.
     """
-    return _fact(g, "lambda1", _lambda1)
-
-
-def _lambda1(g: DirectedGraph) -> float:
-    if is_acyclic(g):
-        return 0.0
-    if g.node_count <= DENSE_CAP:
-        return dense_eigendecompose(g).lambda1
-    return power_iteration(g).lambda1
+    lam = _LAMBDA1.get(g)
+    if lam is None:
+        if is_acyclic(g):
+            lam = 0.0
+        elif g.node_count <= DENSE_CAP:
+            lam = dense_eigendecompose(g).lambda1
+        else:
+            lam = power_iteration(g).lambda1
+        _LAMBDA1[g] = lam
+    return lam
 
 
 def epidemic_threshold(g: DirectedGraph) -> float:

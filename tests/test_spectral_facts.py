@@ -1,4 +1,4 @@
-"""lambda1, acyclicity and strong connectivity are computed once per graph object."""
+"""lambda1 is computed once per graph object."""
 import gc
 import weakref
 from pathlib import Path
@@ -34,7 +34,8 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_correlation_sweep_computes_spectral_facts_once(monkeypatch):
+def test_correlation_sweep_solves_lambda1_once(monkeypatch):
+    # each lambda1 solve checks acyclicity first, then runs power iteration
     acyclic_calls = _count_calls(monkeypatch, "is_acyclic")
     power_calls = _count_calls(monkeypatch, "power_iteration")
     g, _ = load_edge_list(DATA / "pipeline_graph.tsv")
@@ -105,6 +106,6 @@ def test_cached_facts_match_a_fresh_graph(gs):
     first = [_facts(g) for g in gs]
     second = [_facts(g) for g in gs]    # other graphs' facts computed in between
     # the reference: a fresh object for each graph, with nothing cached at all
-    with mock.patch.object(spectral, "_FACTS", type(spectral._FACTS)()):
+    with mock.patch.object(spectral, "_LAMBDA1", type(spectral._LAMBDA1)()):
         fresh = [_facts(build_graph(g.edges(), g.node_count)) for g in gs]
     assert first == second == fresh
