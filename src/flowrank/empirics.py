@@ -23,13 +23,15 @@ import numpy as np
 from . import centrality as _centrality
 from .dynamics import cascade_rounds
 from .errors import InputFormatError, NumericalError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _line_blocks
 from .rng import SLOT_EDGE_BASE, stream_value, trial_base, unit_float
 
 MODES = ("digg", "twitter")
 EVENT_LOG_HEADER = ("item_id", "user_id", "timestamp", "kind")
 
 _MEASURE_ALIASES = {"nalpha": "normalized_alpha"}
+_HEADER_LINE = ",".join(EVENT_LOG_HEADER).encode()
+_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,21 @@ def from_records(records, mode: str = "digg") -> EventLog:
 
 
 def read_event_log(path, mode: str = "digg") -> EventLog:
-    """Read the CSV event-log format (header item_id,user_id,timestamp,kind)."""
+    """Read the CSV event-log format (header item_id,user_id,timestamp,kind).
+
+    Plain files (no quotes, spaces, tabs or carriage returns, and digit
+    user ids and timestamps) are parsed in blocks and validated with
+    array checks. Any other file, and any file that fails a check, is
+    read again row by row, so errors name their line.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    log = _read_plain_event_log(path, mode)
+    return log if log is not None else _scan_event_log(path, mode)
+
+
+def _scan_event_log(path, mode: str) -> EventLog:
+    # Row-by-row reader: the reference for every accepted log and every error.
     builder = _LogBuilder(mode)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -180,6 +196,113 @@ def read_event_log(path, mode: str = "digg") -> EventLog:
     except OSError as exc:
         raise InputFormatError(str(exc), path=str(path)) from exc
     return builder.build()
+
+
+def _read_plain_event_log(path, mode: str) -> EventLog | None:
+    """The log of a plain file, read in blocks; None if _scan_event_log must decide."""
+    index: dict[bytes, int] = {}    # item token -> item number, in first-seen order
+    columns = []
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline().rstrip(b"\n") != _HEADER_LINE:
+                return None
+            for block in _line_blocks(fh):
+                cols = _plain_event_columns(block, index)
+                if cols is None:
+                    return None
+                columns.append(cols)
+    except OSError:
+        return None
+    try:
+        item_ids = [tok.decode("utf-8") for tok in index]
+    except UnicodeDecodeError:
+        return None
+    # the row scanner strips item ids, and csv rejects fields over its size limit
+    if any(i != i.strip() or len(i) > csv.field_size_limit() for i in item_ids):
+        return None
+    if not columns:
+        return EventLog([], mode)
+    codes, users, times, submit = (np.concatenate(c) for c in zip(*columns))
+
+    # group rows by item, keeping file order within an item
+    order = np.argsort(codes, kind="stable")
+    starts = np.zeros(len(item_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=len(item_ids)), out=starts[1:])
+    users, times, submit = users[order], times[order], submit[order]
+    # exactly one submit per item, and it comes first
+    if submit.sum() != len(item_ids) or not submit[starts[:-1]].all():
+        return None
+    rising = np.diff(times) >= 0
+    rising[starts[1:-1] - 1] = True     # steps between items are not checked
+    if not rising.all():
+        return None
+
+    # rebroadcasts sort by (time, user): as one int64 key time*span + user when it fits
+    span = int(users.max()) + 1
+    one_key = int(times.max()) < (2**63 - 1) // span
+    items = []
+    for k, item_id in enumerate(item_ids):
+        lo, hi = int(starts[k]), int(starts[k + 1])
+        if mode == "digg":
+            seen = np.sort(users[lo:hi])
+            if (seen[1:] == seen[:-1]).any():
+                return None
+        u, t = users[lo + 1:hi], times[lo + 1:hi]
+        if one_key:
+            t, u = np.divmod(np.sort(t * span + u), span)
+        else:
+            o = np.lexsort((u, t))
+            u, t = u[o], t[o]
+        items.append(ItemEvents(item_id=item_id, submitter=int(users[lo]),
+                                submit_time=int(times[lo]),
+                                rebroadcast_users=u, rebroadcast_times=t))
+    return EventLog(items, mode)
+
+
+def _plain_event_columns(block: bytes, index: dict[bytes, int]):
+    """(item numbers, users, times, is-submit) of a plain block, else None.
+
+    New item tokens are added to `index`. A plain block has no quote,
+    space, tab or carriage return, three commas on every line, known
+    kinds, and user ids and timestamps of 1 to 18 ASCII digits.
+    """
+    if b'"' in block or b" " in block or b"\t" in block or b"\r" in block:
+        return None
+    buf = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((buf == 44) | (buf == 10))
+    if seps.size % 4 or (buf[seps].reshape(-1, 4) != _ROW_SEPS).any():
+        return None
+    seps = seps.reshape(-1, 4)
+    users = _digit_fields(buf, seps[:, 0] + 1, seps[:, 1])
+    times = _digit_fields(buf, seps[:, 1] + 1, seps[:, 2])
+    if users is None or times is None:
+        return None
+    fields = block.replace(b"\n", b",").split(b",")
+    items, kinds = fields[0:-1:4], fields[3::4]
+    if kinds.count(b"submit") + kinds.count(b"rebroadcast") != len(kinds):
+        return None
+    submit = seps[:, 3] - seps[:, 2] == 1 + len("submit")
+    for tok in dict.fromkeys(items):
+        index.setdefault(tok, len(index))
+    codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
+    return codes, users, times, submit
+
+
+def _digit_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Values of the fields buf[lo:hi] if each is 1 to 18 ASCII digits, else None."""
+    width = hi - lo
+    if width.min() < 1 or width.max() > 18:
+        return None
+    value = np.zeros(lo.size, dtype=np.int64)
+    top = int(width.max())
+    for k in range(top):
+        # k-th character of every field right-aligned in `top` columns; '0' left of a field
+        at = hi - top + k
+        digit = np.where(at >= lo, buf[np.maximum(at, 0)], 48) - 48
+        if digit.max() > 9:
+            return None
+        value = value * 10 + digit
+    return value
 
 
 def write_event_log(log: EventLog, path) -> None:

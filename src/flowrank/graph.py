@@ -11,6 +11,7 @@ from the left, so (x @ A)[j] sums x over the in-neighbors of j.
 from __future__ import annotations
 
 import enum
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,9 @@ from . import _kernels
 from .errors import InputFormatError
 
 _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
+# Largest node count whose sort keys n*n fit in int64 (see build_graph).
+MAX_NODES = 3_037_000_499
+_BLOCK_BYTES = 1 << 22      # load_edge_list reads the file in blocks of this size
 
 
 class DanglingPolicy(enum.Enum):
@@ -87,7 +91,11 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
 
     Duplicate edges collapse to one, self-loops are dropped, and ids must
     be nonnegative. With `node_count` unset the graph spans 0..max id;
-    ids at or above an explicit `node_count` are an error.
+    ids at or above an explicit `node_count` are an error, and so is a
+    node count above MAX_NODES.
+
+    Edges are ordered by sorting the 1-D keys src*n + dst and dst*n + src,
+    which is why n*n must fit in int64.
     """
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
     if arr.size == 0:
@@ -96,35 +104,42 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
         raise ValueError("edges must be (src, dst) pairs")
     if arr.size and arr.min() < 0:
         raise ValueError("negative node id")
-    arr = arr[arr[:, 0] != arr[:, 1]]
+    keep = arr[:, 0] != arr[:, 1]
+    src, dst = arr[keep, 0], arr[keep, 1]
+    top = max(int(src.max()), int(dst.max())) if src.size else -1
     if node_count is None:
-        if arr.size == 0:
+        if top < 0:
             raise ValueError("empty graph")
-        node_count = int(arr.max()) + 1
+        node_count = top + 1
     elif node_count <= 0:
         raise ValueError("empty graph")
-    elif arr.size and int(arr.max()) >= node_count:
-        raise ValueError(f"node id {int(arr.max())} out of range for node_count={node_count}")
+    elif top >= node_count:
+        raise ValueError(f"node id {top} out of range for node_count={node_count}")
+    if node_count > MAX_NODES:
+        raise ValueError(f"node count {node_count} exceeds the limit of {MAX_NODES}")
 
-    arr = np.unique(arr, axis=0) if arr.size else arr
-    src, dst = arr[:, 0], arr[:, 1]
-    out_degree = np.bincount(src, minlength=node_count).astype(np.int64)
-    in_degree = np.bincount(dst, minlength=node_count).astype(np.int64)
+    n = node_count
+    key = np.sort(src * n + dst)
+    if key.size:
+        fresh = np.empty(key.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+    # keys sort by (src, dst): targets come grouped by source and sorted
+    src, out_indices = np.divmod(key, n)
+    in_indices = np.sort(out_indices * n + src) % n
+    out_degree = np.bincount(src, minlength=n).astype(np.int64)
+    in_degree = np.bincount(out_indices, minlength=n).astype(np.int64)
 
-    out_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(out_degree, out=out_indptr[1:])
-    # unique() already sorted rows by (src, dst): targets are grouped and sorted
-    out_indices = dst.copy()
-
-    in_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    in_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(in_degree, out=in_indptr[1:])
-    order = np.lexsort((src, dst))
-    in_indices = src[order]
 
     for a in (out_indptr, out_indices, in_indptr, in_indices, out_degree, in_degree):
         a.setflags(write=False)
     return DirectedGraph(
-        node_count=node_count,
+        node_count=n,
         out_indptr=out_indptr,
         out_indices=out_indices,
         in_indptr=in_indptr,
@@ -201,56 +216,124 @@ def load_edge_list(path, *, mapping_path=None) -> tuple[DirectedGraph, list[str]
     """Read a TSV edge list (src<TAB>dst per line, '#' comment lines).
 
     If every token is a decimal integer the ids are used directly
-    (gaps become isolated nodes). Otherwise tokens are treated as string
-    labels, mapped to dense ids in sorted order, and the mapping is
-    written next to the input as <input>.nodemap.tsv (label<TAB>index),
-    or to `mapping_path` when given. Returns (graph, labels or None).
+    (gaps become isolated nodes); ids must lie in [0, MAX_NODES). Otherwise
+    tokens are treated as string labels, mapped to dense ids in sorted
+    order, and the mapping is written next to the input as
+    <input>.nodemap.tsv (label<TAB>index), or to `mapping_path` when
+    given. Returns (graph, labels or None).
     """
     path = Path(path)
-    rows: list[tuple[int, str, str]] = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\r\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise InputFormatError(
-                        f"expected src<TAB>dst, got {line!r}", path=str(path), line=lineno)
-                a, b = parts[0].strip(), parts[1].strip()
-                if not a or not b:
-                    raise InputFormatError("empty node field", path=str(path), line=lineno)
-                rows.append((lineno, a, b))
+        ids, labels = _read_int_edges(path), None
+        if ids is None:
+            ids, labels = _scan_edge_list(path)
+        if labels is not None:
+            mpath = Path(mapping_path) if mapping_path is not None else Path(str(path) + ".nodemap.tsv")
+            with open(mpath, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{lab}\t{i}\n" for i, lab in enumerate(labels))
     except OSError as exc:
         raise InputFormatError(str(exc), path=str(path)) from exc
-    if not rows:
-        raise InputFormatError("empty graph", path=str(path))
-
-    tokens = [t for _, a, b in rows for t in (a, b)]
-    if all(_INT_TOKEN.match(t) for t in tokens):
-        labels = None
-        try:
-            pairs = [(int(a), int(b)) for _, a, b in rows]
-        except ValueError as exc:  # pragma: no cover - regex already filtered
-            raise InputFormatError(str(exc), path=str(path)) from exc
-        if min(min(p) for p in pairs) < 0:
-            bad = next(ln for ln, a, b in rows if int(a) < 0 or int(b) < 0)
-            raise InputFormatError("negative node id", path=str(path), line=bad)
-    else:
-        labels = sorted(set(tokens))
-        index = {lab: i for i, lab in enumerate(labels)}
-        pairs = [(index[a], index[b]) for _, a, b in rows]
-        mpath = Path(mapping_path) if mapping_path is not None else Path(str(path) + ".nodemap.tsv")
-        with open(mpath, "w", encoding="utf-8") as fh:
-            for i, lab in enumerate(labels):
-                fh.write(f"{lab}\t{i}\n")
-
     try:
-        graph = build_graph(pairs)
+        graph = build_graph(ids.reshape(-1, 2))
     except ValueError as exc:
         raise InputFormatError(str(exc), path=str(path)) from exc
     return graph, labels
+
+
+def _line_blocks(fh):
+    """Blocks of about _BLOCK_BYTES from a binary file, each ending in a newline."""
+    while block := fh.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+            if not block.endswith(b"\n"):
+                block += b"\n"
+        yield block
+
+
+def _read_int_edges(path: Path) -> np.ndarray | None:
+    """Flat src, dst, src, dst, ... ids of an all-integer edge list, read in blocks.
+
+    A block of plain digits<TAB>digits lines is parsed by numpy in one
+    pass; any other block goes through _scan_lines. Returns None when
+    only _scan_edge_list can tell the outcome: a malformed line, a label,
+    an id outside [0, MAX_NODES), bytes that are not UTF-8, or no edges.
+    """
+    parts = []
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            ids = _bulk_ids(block)
+            if ids is None:
+                # any error sends the whole file to _scan_edge_list, so line numbers do not matter
+                try:
+                    lines = io.StringIO(block.decode("utf-8"), newline=None)
+                    tokens = [t for _, a, b in _scan_lines(lines, path, 1) for t in (a, b)]
+                except (UnicodeDecodeError, InputFormatError):
+                    return None
+                if not all(_INT_TOKEN.match(t) for t in tokens):
+                    return None
+                values = [int(t) for t in tokens]
+                if values and not 0 <= min(values) <= max(values) < MAX_NODES:
+                    return None
+                ids = np.array(values, dtype=np.int64)
+            parts.append(ids)
+    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return ids if ids.size and ids.max() < MAX_NODES else None
+
+
+def _bulk_ids(block: bytes) -> np.ndarray | None:
+    """The ids of a block made only of digits<TAB>digits lines, else None."""
+    if block.translate(None, b"0123456789\t\n"):
+        return None
+    seps = np.frombuffer(block, dtype=np.uint8)
+    seps = seps[seps < 48]      # the tabs (9) and newlines (10), in order
+    tokens = block.split()
+    # one token per field (no empty field or blank line), fields alternate tab, newline
+    if (len(tokens) != seps.size or seps.size % 2
+            or (seps[0::2] != 9).any() or (seps[1::2] != 10).any()):
+        return None
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _scan_lines(lines, path: Path, first: int) -> list[tuple[int, str, str]]:
+    """(line number, src, dst) of each data line; comments and blank lines skipped."""
+    rows = []
+    for lineno, raw in enumerate(lines, first):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputFormatError(
+                f"expected src<TAB>dst, got {line!r}", path=str(path), line=lineno)
+        a, b = parts[0].strip(), parts[1].strip()
+        if not a or not b:
+            raise InputFormatError("empty node field", path=str(path), line=lineno)
+        rows.append((lineno, a, b))
+    return rows
+
+
+def _scan_edge_list(path: Path) -> tuple[np.ndarray, list[str] | None]:
+    """Line-by-line reader: the reference for labels, messages and line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        rows = _scan_lines(fh, path, 1)
+    if not rows:
+        raise InputFormatError("empty graph", path=str(path))
+    tokens = [t for _, a, b in rows for t in (a, b)]
+    if not all(_INT_TOKEN.match(t) for t in tokens):
+        labels = sorted(set(tokens))
+        index = {lab: i for i, lab in enumerate(labels)}
+        return np.array([index[t] for t in tokens], dtype=np.int64), labels
+    for lineno, a, b in rows:
+        for value in (int(a), int(b)):
+            if value < 0:
+                raise InputFormatError("negative node id", path=str(path), line=lineno)
+            if value >= MAX_NODES:
+                raise InputFormatError(f"node id {value} is not below the limit {MAX_NODES}",
+                                       path=str(path), line=lineno)
+    return np.array([int(t) for t in tokens], dtype=np.int64), None
 
 
 def write_edge_list(path, edges) -> None:

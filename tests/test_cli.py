@@ -204,6 +204,30 @@ def test_exit_3_on_input_problems(tmp_path, ring_graph):
     run_cli("influence", "--graph", ring_graph, "--events", badev, expect=3)
 
 
+def _assert_input_error(out):
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("flowrank: input error: ")
+
+
+@pytest.mark.parametrize("big", ["99999999999999999999", "1000000000000"])
+def test_exit_3_on_out_of_range_ids(tmp_path, big):
+    p = tmp_path / "big.tsv"
+    p.write_text(f"0\t1\n{big}\t1\n")
+    out = run_cli("spectral", "--graph", p, expect=3)
+    _assert_input_error(out)
+    assert f"big.tsv:2: node id {big}" in out.stderr
+
+
+def test_exit_3_when_nodemap_cannot_be_written(tmp_path):
+    p = tmp_path / "labels.tsv"
+    p.write_text("alice\tbob\nbob\tcarol\ncarol\talice\n")
+    (tmp_path / "labels.tsv.nodemap.tsv").mkdir()
+    out = run_cli("spectral", "--graph", p, expect=3)
+    _assert_input_error(out)
+    assert "labels.tsv.nodemap.tsv" in out.stderr
+
+
 def test_exit_4_on_numerical_failures(ring_graph, tmp_path):
     run_cli("centrality", "--graph", ring_graph, "--measure", "alpha",
             "--alpha", "1.5", expect=4)

@@ -1,6 +1,7 @@
 """Graph construction, CSR operators vs dense oracles, and edge-list IO."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from flowrank import (
     DanglingPolicy,
@@ -14,6 +15,7 @@ from flowrank import (
     transfer_apply,
     write_edge_list,
 )
+from flowrank.graph import MAX_NODES
 
 from oracles import (
     dense_adjacency,
@@ -67,6 +69,53 @@ def test_build_graph_rejects_bad_input():
         build_graph([(0, -1)])
     with pytest.raises(ValueError, match="out of range"):
         build_graph([(0, 5)], node_count=3)
+
+
+def _unique_lexsort_build(edges, node_count):
+    # the construction build_graph used before its sorted 1-D keys, kept as the oracle
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    if node_count is None:
+        node_count = int(arr.max()) + 1
+    arr = np.unique(arr, axis=0) if arr.size else arr
+    src, dst = arr[:, 0], arr[:, 1]
+    out_degree = np.bincount(src, minlength=node_count).astype(np.int64)
+    in_degree = np.bincount(dst, minlength=node_count).astype(np.int64)
+    out_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(out_degree, out=out_indptr[1:])
+    in_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(in_degree, out=in_indptr[1:])
+    in_indices = src[np.lexsort((src, dst))]
+    return node_count, [out_indptr, dst.copy(), in_indptr, in_indices, out_degree, in_degree]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=hst.lists(hst.tuples(hst.integers(0, 15), hst.integers(0, 15)), max_size=60),
+       extra=hst.one_of(hst.none(), hst.integers(0, 4)))
+def test_build_graph_matches_unique_lexsort_construction(edges, extra):
+    edges = edges + edges[: len(edges) // 3]            # duplicates
+    top = max((max(e) for e in edges), default=0)
+    node_count = None if extra is None else top + 1 + extra
+    if node_count is None and all(a == b for a, b in edges):
+        with pytest.raises(ValueError, match="empty graph"):
+            build_graph(edges)
+        return
+    g = build_graph(edges, node_count=node_count)
+    n, expected = _unique_lexsort_build(edges, node_count)
+    assert g.node_count == n
+    got = [g.out_indptr, g.out_indices, g.in_indptr, g.in_indices, g.out_degree, g.in_degree]
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_build_graph_rejects_node_counts_above_the_limit():
+    # sort keys are src * n + dst, so n * n must fit in int64; checked before any allocation
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        build_graph([(0, MAX_NODES)])
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        build_graph([(0, 1)], node_count=MAX_NODES + 1)
+    assert (MAX_NODES - 1) * MAX_NODES + MAX_NODES - 1 <= np.iinfo(np.int64).max
+    assert (MAX_NODES + 1) ** 2 - 1 > np.iinfo(np.int64).max
 
 
 def test_edges_round_trips_and_reverse_swaps_direction():
@@ -187,6 +236,14 @@ def test_load_edge_list_reports_offending_line(tmp_path):
     with pytest.raises(InputFormatError) as ei:
         load_edge_list(p)
     assert ":2:" in str(ei.value)
+
+
+@pytest.mark.parametrize("big", ["99999999999999999999", "1000000000000", str(MAX_NODES)])
+def test_load_edge_list_rejects_ids_at_the_limit(tmp_path, big):
+    p = tmp_path / "big.tsv"
+    p.write_text(f"0\t1\n{big}\t1\n")
+    with pytest.raises(InputFormatError, match=f":2: node id {big} is not below the limit"):
+        load_edge_list(p)
 
 
 def test_load_edge_list_missing_file(tmp_path):
