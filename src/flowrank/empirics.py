@@ -237,7 +237,8 @@ def _read_plain_event_log(path, mode: str) -> EventLog | None:
     if not rising.all():
         return None
 
-    # rebroadcasts sort by (time, user): as one int64 key time*span + user when it fits
+    # rebroadcasts sort by (time, user); np.sort of one int64 key time*span + user,
+    # used when it fits, is an order of magnitude faster than lexsort
     span = int(users.max()) + 1
     one_key = int(times.max()) < (2**63 - 1) // span
     items = []
@@ -264,7 +265,7 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
 
     New item tokens are added to `index`. A plain block has no quote,
     space, tab or carriage return, three commas on every line, known
-    kinds, and user ids and timestamps of 1 to 18 ASCII digits.
+    kinds, and user ids and timestamps of ASCII digits that fit in int64.
     """
     if b'"' in block or b" " in block or b"\t" in block or b"\r" in block:
         return None
@@ -273,36 +274,25 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
     if seps.size % 4 or (buf[seps].reshape(-1, 4) != _ROW_SEPS).any():
         return None
     seps = seps.reshape(-1, 4)
-    users = _digit_fields(buf, seps[:, 0] + 1, seps[:, 1])
-    times = _digit_fields(buf, seps[:, 1] + 1, seps[:, 2])
-    if users is None or times is None:
+    # no empty user or time field: with that, digits-only joins mean digits-only fields
+    if (seps[:, 1] - seps[:, 0] < 2).any() or (seps[:, 2] - seps[:, 1] < 2).any():
         return None
     fields = block.replace(b"\n", b",").split(b",")
-    items, kinds = fields[0:-1:4], fields[3::4]
+    items, user_toks, time_toks, kinds = fields[0:-1:4], fields[1::4], fields[2::4], fields[3::4]
+    if not (b"".join(user_toks).isdigit() and b"".join(time_toks).isdigit()):
+        return None
     if kinds.count(b"submit") + kinds.count(b"rebroadcast") != len(kinds):
+        return None
+    try:
+        users = np.array(user_toks, dtype=np.int64)
+        times = np.array(time_toks, dtype=np.int64)
+    except OverflowError:
         return None
     submit = seps[:, 3] - seps[:, 2] == 1 + len("submit")
     for tok in dict.fromkeys(items):
         index.setdefault(tok, len(index))
     codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
     return codes, users, times, submit
-
-
-def _digit_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Values of the fields buf[lo:hi] if each is 1 to 18 ASCII digits, else None."""
-    width = hi - lo
-    if width.min() < 1 or width.max() > 18:
-        return None
-    value = np.zeros(lo.size, dtype=np.int64)
-    top = int(width.max())
-    for k in range(top):
-        # k-th character of every field right-aligned in `top` columns; '0' left of a field
-        at = hi - top + k
-        digit = np.where(at >= lo, buf[np.maximum(at, 0)], 48) - 48
-        if digit.max() > 9:
-            return None
-        value = value * 10 + digit
-    return value
 
 
 def write_event_log(log: EventLog, path) -> None:

@@ -11,7 +11,6 @@ from the left, so (x @ A)[j] sums x over the in-neighbors of j.
 from __future__ import annotations
 
 import enum
-import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,30 +250,18 @@ def _line_blocks(fh):
 
 
 def _read_int_edges(path: Path) -> np.ndarray | None:
-    """Flat src, dst, src, dst, ... ids of an all-integer edge list, read in blocks.
+    """Flat src, dst, src, dst, ... ids of a plain integer edge list, read in blocks.
 
-    A block of plain digits<TAB>digits lines is parsed by numpy in one
-    pass; any other block goes through _scan_lines. Returns None when
-    only _scan_edge_list can tell the outcome: a malformed line, a label,
-    an id outside [0, MAX_NODES), bytes that are not UTF-8, or no edges.
+    Every block must be plain digits<TAB>digits lines, which numpy parses
+    in one pass. Returns None when only _scan_edge_list can tell the
+    outcome: any other line, an id outside [0, MAX_NODES), or no edges.
     """
     parts = []
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
             ids = _bulk_ids(block)
             if ids is None:
-                # any error sends the whole file to _scan_edge_list, so line numbers do not matter
-                try:
-                    lines = io.StringIO(block.decode("utf-8"), newline=None)
-                    tokens = [t for _, a, b in _scan_lines(lines, path, 1) for t in (a, b)]
-                except (UnicodeDecodeError, InputFormatError):
-                    return None
-                if not all(_INT_TOKEN.match(t) for t in tokens):
-                    return None
-                values = [int(t) for t in tokens]
-                if values and not 0 <= min(values) <= max(values) < MAX_NODES:
-                    return None
-                ids = np.array(values, dtype=np.int64)
+                return None
             parts.append(ids)
     ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return ids if ids.size and ids.max() < MAX_NODES else None
@@ -297,28 +284,22 @@ def _bulk_ids(block: bytes) -> np.ndarray | None:
         return None
 
 
-def _scan_lines(lines, path: Path, first: int) -> list[tuple[int, str, str]]:
-    """(line number, src, dst) of each data line; comments and blank lines skipped."""
-    rows = []
-    for lineno, raw in enumerate(lines, first):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InputFormatError(
-                f"expected src<TAB>dst, got {line!r}", path=str(path), line=lineno)
-        a, b = parts[0].strip(), parts[1].strip()
-        if not a or not b:
-            raise InputFormatError("empty node field", path=str(path), line=lineno)
-        rows.append((lineno, a, b))
-    return rows
-
-
 def _scan_edge_list(path: Path) -> tuple[np.ndarray, list[str] | None]:
     """Line-by-line reader: the reference for labels, messages and line numbers."""
+    rows: list[tuple[int, str, str]] = []
     with open(path, encoding="utf-8") as fh:
-        rows = _scan_lines(fh, path, 1)
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\r\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise InputFormatError(
+                    f"expected src<TAB>dst, got {line!r}", path=str(path), line=lineno)
+            a, b = parts[0].strip(), parts[1].strip()
+            if not a or not b:
+                raise InputFormatError("empty node field", path=str(path), line=lineno)
+            rows.append((lineno, a, b))
     if not rows:
         raise InputFormatError("empty graph", path=str(path))
     tokens = [t for _, a, b in rows for t in (a, b)]
