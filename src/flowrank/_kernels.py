@@ -1,50 +1,26 @@
-"""Hot loops: CSR gather products and cascade sampling.
-
-Compiled with numba when it is importable; set FLOWRANK_NO_NUMBA=1 to
-force the pure-numpy implementations. Both variants are kept importable
-(`IMPLEMENTATIONS`) so tests can assert parity and the benchmark can
-time them side by side.
+"""Hot loops: CSR gather products and cascade sampling, in numpy.
 
 Cascade coins are stateless splitmix64 words keyed by CSR edge index
-(slot 2 + k), so both backends replay identical cascades for a given
-(seed, trial) regardless of traversal order. ic_spread returns the
-round at which each node joins (-1 = never, 0 = seed); BFS depth over
-open edges equals the synchronous-round join time, so the BFS and
-round-by-round variants agree exactly.
+(slot 2 + k), so a given (seed, trial) replays identical cascades
+regardless of traversal order. ic_spread returns the round at which
+each node joins (-1 = never, 0 = seed); it runs synchronous rounds,
+and BFS depth over open edges equals the round-by-round join time.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .rng import GAMMA, _MIX1, _MIX2, mix64_array, unit_floats
+from .rng import GAMMA, mix64_array, unit_floats
 
-_U64 = np.uint64
-_G = _U64(GAMMA)
-_M1 = _U64(_MIX1)
-_M2 = _U64(_MIX2)
-_S30 = _U64(30)
-_S27 = _U64(27)
-_S31 = _U64(31)
-_S11 = _U64(11)
-_TWO = _U64(2)
-_UNIT = 2.0 ** -53
+# The only kernel implementation; perfbench records this name in every result.
+BACKEND = "numpy"
+
+_G = np.uint64(GAMMA)
+_TWO = np.uint64(2)
 
 
-def _gather_sum_loop(indptr, indices, x):
-    # y[j] = sum of x over the j-th index segment; compiled by numba.
-    n = indptr.shape[0] - 1
-    y = np.zeros(n, np.float64)
-    for j in range(n):
-        acc = 0.0
-        for k in range(indptr[j], indptr[j + 1]):
-            acc += x[indices[k]]
-        y[j] = acc
-    return y
-
-
-def _gather_sum_np(indptr, indices, x):
+def gather_sum(indptr, indices, x):
+    """y[j] = sum of x over the j-th index segment."""
     n = indptr.shape[0] - 1
     y = np.zeros(n, np.float64)
     nz = np.flatnonzero(indptr[1:] > indptr[:-1])
@@ -54,43 +30,13 @@ def _gather_sum_np(indptr, indices, x):
     return y
 
 
-def _ic_spread_loop(out_indptr, out_indices, seeds, p, base):
-    # BFS over edges whose coin falls below p; compiled by numba.
-    n = out_indptr.shape[0] - 1
-    rounds = np.full(n, -1, np.int64)
-    queue = np.empty(n, np.int64)
-    qn = 0
-    for i in range(seeds.shape[0]):
-        s = seeds[i]
-        if rounds[s] < 0:
-            rounds[s] = 0
-            queue[qn] = s
-            qn += 1
-    head = 0
-    while head < qn:
-        u = queue[head]
-        head += 1
-        for k in range(out_indptr[u], out_indptr[u + 1]):
-            v = out_indices[k]
-            if rounds[v] < 0:
-                z = base + (_U64(k) + _TWO) * _G
-                z = (z ^ (z >> _S30)) * _M1
-                z = (z ^ (z >> _S27)) * _M2
-                z = z ^ (z >> _S31)
-                if float(z >> _S11) * _UNIT < p:
-                    rounds[v] = rounds[u] + 1
-                    queue[qn] = v
-                    qn += 1
-    return rounds
-
-
-def _ic_spread_np(out_indptr, out_indices, seeds, p, base):
-    # Synchronous rounds; same open-edge closure as the BFS variant.
+def ic_spread(out_indptr, out_indices, seeds, p, base):
+    """Join round of every node over the edges whose coin falls below p."""
     n = out_indptr.shape[0] - 1
     rounds = np.full(n, -1, np.int64)
     rounds[seeds] = 0
     frontier = np.unique(seeds)
-    base = _U64(base)
+    base = np.uint64(base)
     r = 0
     while frontier.size:
         r += 1
@@ -101,33 +47,9 @@ def _ic_spread_np(out_indptr, out_indices, seeds, p, base):
             break
         prev = np.cumsum(counts) - counts
         edge_idx = np.repeat(starts - prev, counts) + np.arange(total)
-        z = mix64_array(base + (edge_idx.astype(_U64) + _TWO) * _G)
+        z = mix64_array(base + (edge_idx.astype(np.uint64) + _TWO) * _G)
         hit = out_indices[edge_idx][unit_floats(z) < p]
         hit = hit[rounds[hit] < 0]
         frontier = np.unique(hit)
         rounds[frontier] = r
     return rounds
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("FLOWRANK_NO_NUMBA", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-BACKEND = "numpy"
-gather_sum = _gather_sum_np
-ic_spread = _ic_spread_np
-IMPLEMENTATIONS: dict[str, tuple] = {"numpy": (_gather_sum_np, _ic_spread_np)}
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        _gather_sum_nb = njit(cache=True)(_gather_sum_loop)
-        _ic_spread_nb = njit(cache=True)(_ic_spread_loop)
-        BACKEND = "numba"
-        gather_sum = _gather_sum_nb
-        ic_spread = _ic_spread_nb
-        IMPLEMENTATIONS["numba"] = (_gather_sum_nb, _ic_spread_nb)

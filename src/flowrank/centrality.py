@@ -1,10 +1,10 @@
 """PageRank, Alpha-Centrality and its normalized variant, degree and
 eigenvector centralities, and deterministic ranking.
 
-PageRank iterates its own damped fixed point and Alpha-Centrality its
-own attenuated series; the equalities with the generic process engine
-(conservative steady state, non-conservative accumulation) are
-properties verified by tests, not wiring.
+PageRank is the conservative process's steady state and
+Alpha-Centrality the non-conservative process's accumulated series:
+both are thin wrappers over the engine in dynamics.py, adding only
+their own argument checks, defaults and the spectral guard.
 """
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
-from .graph import (DanglingPolicy, DirectedGraph, _as_weight_vector,
-                    adjacency_apply, indegree_vector, transfer_apply)
+from .dynamics import (CONSERVATIVE, NONCONSERVATIVE, ProcessConfig,
+                       conservative_steady_state, nonconservative_accumulate)
+from .errors import NumericalError
+from .graph import DanglingPolicy, DirectedGraph, _as_weight_vector, indegree_vector
 from .spectral import power_iteration, spectral_radius
 
 MEASURES = ("pagerank", "alpha", "normalized_alpha", "indegree", "outdegree",
@@ -63,25 +64,18 @@ def pagerank(g: DirectedGraph, s=None, alpha: float = 0.85, tol: float = 1e-9,
              dangling_policy: DanglingPolicy = DanglingPolicy.UNIFORM_TELEPORT) -> CentralityScores:
     """Damped fixed point pr = (1-alpha) s + alpha pr D^-1 A.
 
-    s must be a nonnegative unit-L1 vector (uniform by default); the
-    result then keeps unit L1 norm to rounding.
+    The conservative steady state with delta = 0 and x0 = s. s must be
+    a nonnegative unit-L1 vector (uniform by default); the result then
+    keeps unit L1 norm to rounding.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("pagerank requires alpha in [0, 1)")
     sv, origin = _starting_vector(g, s, "uniform")
     if sv.min() < 0.0 or abs(sv.sum() - 1.0) > 1e-9:
         raise ValueError("starting vector must be nonnegative with unit L1 norm")
-    x = sv.copy()
-    history: list[float] = []
-    for _ in range(max_iter):
-        nxt = (1.0 - alpha) * sv + alpha * transfer_apply(g, x, 0.0, dangling_policy)
-        diff = float(np.abs(nxt - x).sum())
-        history.append(diff)
-        x = nxt
-        if diff <= tol:
-            return CentralityScores("pagerank", alpha, x, origin)
-    raise ConvergenceError("pagerank did not converge",
-                           iterations=max_iter, history=history[-8:])
+    cfg = ProcessConfig(CONSERVATIVE, alpha, 0.0, dangling_policy)
+    x = conservative_steady_state(g, sv, cfg, tol=tol, max_iter=max_iter)
+    return CentralityScores("pagerank", alpha, x, origin)
 
 
 def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
@@ -89,35 +83,38 @@ def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
                      guard: float = SPECTRAL_GUARD) -> CentralityScores:
     """Attenuated influence series cr = s (I - alpha A)^-1.
 
-    s defaults to the indegree vector (e A). Defined below the spectral
+    The non-conservative accumulation with delta = 0 and x0 = s; s
+    defaults to the indegree vector (e A). Defined below the spectral
     bound only; alpha*lambda1 >= 1 - guard is rejected because the series
     no longer converges at numerically usable rates there.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     sv, origin = _starting_vector(g, s, "indegree")
-    lam1 = spectral_radius(g)
-    if alpha * lam1 >= 1.0 - guard:
+    if alpha * spectral_radius(g) >= 1.0 - guard:
         raise NumericalError("beyond spectral bound; use normalized variant")
-    x = sv.copy()
-    term = sv.copy()
-    prev_norm = float(np.abs(term).sum())
-    rho = alpha * lam1
-    for _ in range(max_iter):
-        term = alpha * adjacency_apply(g, term)
-        x += term
-        norm = float(np.abs(term).sum())
-        if norm == 0.0:
-            return CentralityScores("alpha", alpha, x, origin)
-        q = max(rho, norm / prev_norm) if prev_norm > 0.0 else rho
-        if q < 1.0 and norm * q / (1.0 - q) <= tol * max(1.0, float(np.abs(x).sum())):
-            return CentralityScores("alpha", alpha, x, origin)
-        prev_norm = norm
-    raise ConvergenceError("alpha centrality series did not converge", iterations=max_iter)
+    x = nonconservative_accumulate(g, sv, ProcessConfig(NONCONSERVATIVE, alpha),
+                                   tol=tol, max_iter=max_iter)
+    return CentralityScores("alpha", alpha, x, origin)
+
+
+def _l1_normalized(values: np.ndarray) -> np.ndarray:
+    total = float(np.abs(values).sum())
+    if total == 0.0:
+        raise NumericalError("centrality vanished; nothing to normalize")
+    return values / total
+
+
+def _below_guard_band(g: DirectedGraph, alpha: float, guard: float) -> bool:
+    # which side of 1/lambda1 the normalized variant is on; inside the band it is undefined
+    rho = alpha * spectral_radius(g)
+    if abs(rho - 1.0) <= guard:
+        raise NumericalError("at spectral singularity")
+    return rho < 1.0
 
 
 def normalized_alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
-                                tol: float = 1e-9, horizon_cap: int | None = None,
+                                tol: float = 1e-9,
                                 guard: float = SPECTRAL_GUARD) -> CentralityScores:
     """L1-normalized Alpha-Centrality, defined across the spectral bound.
 
@@ -125,32 +122,14 @@ def normalized_alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
     alpha returns the L1-normalized dominant left eigenvector, the limit
     of normalized truncated sums (so its ranking matches eigenvector
     centrality and is alpha-independent). Alphas within the relative
-    guard band of 1/lambda1 are rejected. horizon_cap computes the
-    normalized truncated sum at that horizon instead, in either regime.
+    guard band of 1/lambda1 are rejected.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("normalized alpha centrality requires alpha in [0, 1]")
-    sv, origin = _starting_vector(g, s, "indegree")
-    lam1 = spectral_radius(g)
-    rho = alpha * lam1
-    if abs(rho - 1.0) <= guard:
-        raise NumericalError("at spectral singularity")
-    if horizon_cap is not None:
-        x = sv.copy()
-        term = sv.copy()
-        for _ in range(horizon_cap):
-            term = alpha * adjacency_apply(g, term)
-            x += term
-        total = float(np.abs(x).sum())
-        if total == 0.0:
-            raise NumericalError("truncated sum vanished; nothing to normalize")
-        return CentralityScores("normalized_alpha", alpha, x / total, origin)
-    if rho < 1.0:
+    _, origin = _starting_vector(g, s, "indegree")
+    if _below_guard_band(g, alpha, guard):
         cr = alpha_centrality(g, s, alpha, tol=tol, guard=guard)
-        total = float(np.abs(cr.values).sum())
-        if total == 0.0:
-            raise NumericalError("centrality vanished; nothing to normalize")
-        return CentralityScores("normalized_alpha", alpha, cr.values / total, origin)
+        return CentralityScores("normalized_alpha", alpha, _l1_normalized(cr.values), origin)
     est = power_iteration(g, tol=min(tol, 1e-10))
     return CentralityScores("normalized_alpha", alpha, est.eigvec, origin)
 

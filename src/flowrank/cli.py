@@ -276,8 +276,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default=None, help="write here instead of stdout")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed for simulation commands")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="reserved for parallel backends; never affects results")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -190,7 +190,7 @@ def independent_cascade(g: DirectedGraph, seeds, transmissibility: float,
     Each infected node gets one chance to infect each out-neighbor with
     the given probability; the trial's coins are a pure function of
     (rng_seed, trial), one per edge, so the outcome does not depend on
-    traversal order or backend.
+    traversal order.
     """
     rounds = cascade_rounds(g, seeds, transmissibility, rng_seed, trial)
     return {int(i) for i in np.flatnonzero(rounds >= 0)}

@@ -15,6 +15,7 @@ out-neighbors. User ids in logs are graph node ids.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,6 +33,7 @@ EVENT_LOG_HEADER = ("item_id", "user_id", "timestamp", "kind")
 _MEASURE_ALIASES = {"nalpha": "normalized_alpha"}
 _HEADER_LINE = ",".join(EVENT_LOG_HEADER).encode()
 _ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class _LogBuilder:
             raise ValueError(f"unknown kind {kind!r}")
         if user_id < 0:
             raise ValueError("negative user id")
+        if user_id > _INT64_MAX or not -_INT64_MAX - 1 <= timestamp <= _INT64_MAX:
+            raise ValueError("user id and timestamp must fit in int64")
         if kind == "submit":
             if item_id in self.submit:
                 raise ValueError(f"second submit for item {item_id!r}")
@@ -240,7 +244,7 @@ def _read_plain_event_log(path, mode: str) -> EventLog | None:
     # rebroadcasts sort by (time, user); np.sort of one int64 key time*span + user,
     # used when it fits, is an order of magnitude faster than lexsort
     span = int(users.max()) + 1
-    one_key = int(times.max()) < (2**63 - 1) // span
+    one_key = int(times.max()) < _INT64_MAX // span
     items = []
     for k, item_id in enumerate(item_ids):
         lo, hi = int(starts[k]), int(starts[k + 1])
@@ -546,12 +550,18 @@ class CorrelationReport:
     entries: tuple[CorrelationEntry, ...]
 
 
-def _measure_scores(g: DirectedGraph, measure: str, alpha: float) -> np.ndarray:
+def _measure_scores(g: DirectedGraph, measure: str, alpha: float, alpha_series) -> np.ndarray:
+    # alpha_series() is this alpha's Alpha-Centrality, computed at most once
     if measure == "pagerank":
         return _centrality.pagerank(g, alpha=alpha, tol=1e-12).values
     if measure == "alpha":
-        return _centrality.alpha_centrality(g, alpha=alpha, tol=1e-12).values
+        return alpha_series().values
     if measure == "normalized_alpha":
+        # below the guard band the normalized variant is the same series over
+        # its L1 norm; elsewhere it keeps its own checks and eigenvector branch
+        if 0.0 <= alpha <= 1.0 and _centrality._below_guard_band(
+                g, alpha, _centrality.SPECTRAL_GUARD):
+            return _centrality._l1_normalized(alpha_series().values)
         return _centrality.normalized_alpha_centrality(g, alpha=alpha, tol=1e-12).values
     if measure == "eigenvector":
         return _centrality.eigenvector_centrality(g).values
@@ -611,9 +621,11 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
 
     entries = []
     for alpha in alpha_grid:
+        alpha_series = functools.cache(
+            functools.partial(_centrality.alpha_centrality, g, alpha=alpha, tol=1e-12))
         for measure in measures:
             try:
-                scores = _measure_scores(g, measure, alpha)[cohort_idx]
+                scores = _measure_scores(g, measure, alpha, alpha_series)[cohort_idx]
             except NumericalError:
                 continue
             if np.ptp(scores) == 0.0:

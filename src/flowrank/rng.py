@@ -2,8 +2,8 @@
 
 Every random decision in the package is a pure function of
 (seed, trial, slot), so trial i never depends on how many trials run
-before or after it, and the numba and numpy backends can replay the
-same coins without sharing any generator state.
+before or after it, and a kernel can draw any edge's coin in any order
+without carrying generator state.
 
 Slot conventions used by callers:
   slot 0        reserved (stream base itself)

@@ -1,6 +1,7 @@
 """Centrality measures against dense solves and their process equivalents."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from flowrank import (
     CONSERVATIVE,
@@ -168,8 +169,10 @@ def test_normalized_alpha_truncated_sum_approaches_eigenvector():
     a = dense_adjacency(edges, n)
     lam = np.max(np.abs(np.linalg.eigvals(a)))
     alpha = 1.5 / lam
-    got = normalized_alpha_centrality(g, alpha=alpha, horizon_cap=400).values
     s = indegree_vector(g)
+    partial = nonconservative_accumulate(g, s, ProcessConfig(NONCONSERVATIVE, alpha),
+                                         horizon=400)
+    got = partial / np.abs(partial).sum()
     acc = s.copy()
     term = s.copy()
     for _ in range(400):
@@ -177,7 +180,7 @@ def test_normalized_alpha_truncated_sum_approaches_eigenvector():
         acc = acc + term
     want = acc / np.abs(acc).sum()
     assert np.max(np.abs(got - want)) < 1e-9
-    ev = eigenvector_centrality(g).values
+    ev = normalized_alpha_centrality(g, alpha=alpha).values
     assert np.max(np.abs(got - ev)) < 1e-6
 
 
@@ -245,6 +248,21 @@ def test_pagerank_validates_inputs():
         pagerank(g, s=np.array([0.5, 0.5, 0.5]), alpha=0.5)  # not unit L1
     with pytest.raises(ValueError):
         pagerank(g, s=np.array([1.5, -0.5, 0.0]), alpha=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 25), data=hst.data(),
+       alpha=hst.floats(0.0, 0.95), policy=hst.sampled_from(DanglingPolicy))
+def test_pagerank_keeps_unit_mass(n, data, alpha, policy):
+    # dangling nodes included: either policy keeps the transfer column-stochastic
+    edges = data.draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1)),
+                                max_size=4 * n))
+    g = build_graph(edges, node_count=n)
+    s = np.asarray(data.draw(hst.lists(hst.floats(0.0, 1.0), min_size=n, max_size=n)))
+    s = s / s.sum() if s.sum() > 0.0 else np.full(n, 1.0 / n)
+    got = pagerank(g, s=s, alpha=alpha, dangling_policy=policy).values
+    assert got.min() >= 0.0
+    assert abs(got.sum() - 1.0) < 1e-9
 
 
 def test_pagerank_convergence_error_carries_trailing_diffs():

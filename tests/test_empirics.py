@@ -402,6 +402,48 @@ def test_correlation_sweep_skips_undefined_alpha_rows():
     assert "indegree" in measures and "normalized_alpha" not in measures
 
 
+def test_correlation_sweep_combined_equals_single_measure_sweeps():
+    # one alpha series per alpha feeds both alpha measures; each entry must
+    # carry the same bits as a sweep of that measure alone, in alpha-major order
+    g, log = _sweep_fixture()
+    from flowrank import spectral_radius
+    lam = spectral_radius(g)
+    grid = [0.0, 0.3 / lam, 0.9 / lam, 1.0 / lam, 1.5 / lam]
+    measures = ["nalpha", "alpha", "pagerank"]
+    kw = dict(min_rebroadcasts=0, apply_spam_filter=False)
+    combined = correlation_sweep(g, log, measures, grid, "global", **kw).entries
+    singles = [e for m in measures
+               for e in correlation_sweep(g, log, [m], grid, "global", **kw).entries]
+    names = ["normalized_alpha", "alpha", "pagerank"]
+    singles.sort(key=lambda e: (grid.index(e.alpha), names.index(e.measure)))
+    assert combined == tuple(singles)
+    # the undefined cells are skipped, as in the single sweeps
+    assert ("alpha", 1.5 / lam) not in {(e.measure, e.alpha) for e in combined}
+    assert ("normalized_alpha", 1.0 / lam) not in {(e.measure, e.alpha) for e in combined}
+    # alpha > 1 is skipped by the alpha measure, then rejected by the normalized one
+    with pytest.raises(ValueError, match="normalized alpha centrality requires"):
+        correlation_sweep(g, log, ["alpha", "nalpha"], [1.5], "global", **kw)
+
+
+def test_correlation_sweep_computes_each_alpha_series_once(monkeypatch):
+    from flowrank import centrality, spectral_radius
+    calls = []
+    fn = centrality.alpha_centrality
+
+    def counted(g, *args, **kwargs):
+        calls.append(kwargs.get("alpha"))
+        return fn(g, *args, **kwargs)
+
+    monkeypatch.setattr(centrality, "alpha_centrality", counted)
+    g, log = _sweep_fixture()
+    lam = spectral_radius(g)
+    grid = [0.2 / lam, 0.5 / lam, 0.8 / lam]
+    report = correlation_sweep(g, log, ["nalpha", "alpha", "pagerank"], grid, "global",
+                               min_rebroadcasts=0, apply_spam_filter=False)
+    assert len(report.entries) == 9
+    assert calls == grid
+
+
 def test_correlation_sweep_degenerate_cohort():
     g = build_graph(edges_ring(6))
     # three submitters, two items each, no rebroadcasts: all sizes equal 1

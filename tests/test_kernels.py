@@ -1,54 +1,20 @@
-"""Parity between the compiled kernels and their pure-numpy twins."""
-import os
-import subprocess
-import sys
-
+"""The numpy kernels: CSR gather sums and cascade rounds."""
 import numpy as np
-import pytest
 
 from flowrank import _kernels, build_graph
 from flowrank.rng import trial_base
 
-from oracles import random_sc_edges, random_edges
-
-HAVE_BOTH = "numba" in _kernels.IMPLEMENTATIONS
-
-
-def _graph(seed, n=120, extra=400):
-    return build_graph(random_sc_edges(n, extra, seed))
-
-
-@pytest.mark.skipif(not HAVE_BOTH, reason="numba backend unavailable")
-@pytest.mark.parametrize("seed", range(5))
-def test_gather_sum_backends_agree(seed):
-    g = _graph(seed)
-    x = np.random.default_rng(seed).random(g.node_count)
-    y_nb = _kernels.IMPLEMENTATIONS["numba"][0](g.in_indptr, g.in_indices, x)
-    y_np = _kernels.IMPLEMENTATIONS["numpy"][0](g.in_indptr, g.in_indices, x)
-    assert np.max(np.abs(y_nb - y_np)) < 1e-12
-
-
-@pytest.mark.skipif(not HAVE_BOTH, reason="numba backend unavailable")
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
-def test_cascade_backends_identical(seed, p):
-    # same per-edge coins -> bitwise-identical rounds, not just close
-    g = _graph(seed)
-    seeds = np.array([seed % g.node_count], dtype=np.int64)
-    base = np.uint64(trial_base(42, seed))
-    r_nb = _kernels.IMPLEMENTATIONS["numba"][1](g.out_indptr, g.out_indices, seeds, p, base)
-    r_np = _kernels.IMPLEMENTATIONS["numpy"][1](g.out_indptr, g.out_indices, seeds, p, base)
-    assert np.array_equal(r_nb, r_np)
+from oracles import random_edges
 
 
 def test_gather_sum_handles_empty_segments():
     # dangling tail nodes exercise the reduceat index edge case
     g = build_graph([(0, 1), (0, 2)], node_count=6)
     x = np.arange(6, dtype=np.float64)
-    y = _kernels.IMPLEMENTATIONS["numpy"][0](g.in_indptr, g.in_indices, x)
+    y = _kernels.gather_sum(g.in_indptr, g.in_indices, x)
     assert np.array_equal(y, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     x2 = np.ones(6)
-    y2 = _kernels.IMPLEMENTATIONS["numpy"][0](g.in_indptr, g.in_indices, x2)
+    y2 = _kernels.gather_sum(g.in_indptr, g.in_indices, x2)
     assert np.array_equal(y2, [0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
@@ -60,15 +26,6 @@ def test_cascade_rounds_are_bfs_depths():
     assert np.array_equal(rounds, [0, 1, 2, 3])
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, FLOWRANK_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from flowrank import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not HAVE_BOTH, reason="numba backend unavailable")
 def test_disconnected_targets_unreachable(seed=3):
     g = build_graph(random_edges(40, 60, seed), node_count=50)
     seeds = np.array([0], dtype=np.int64)
