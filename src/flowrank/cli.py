@@ -3,8 +3,8 @@
 Subcommands: spectral, centrality, simulate, threshold, influence,
 correlate. All numeric output uses 12-significant-digit formatting and
 fixed field orders, so identical inputs and seed produce byte-identical
-files. Exit codes: 0 success, 2 usage error, 3 input format error,
-4 numerical failure.
+files. Exit codes: 0 success, 2 usage error, 3 input format error
+(including an --output path that cannot be written), 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -271,6 +271,14 @@ def _cmd_correlate(args, g, parser) -> str:
     return _render_csv(("alpha", "measure", "influence_kind", "pearson_r", "cohort_size"), rows)
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(str(exc)) from exc
+
+
 def _add_common(sp) -> None:
     sp.add_argument("--graph", required=True, help="edge-list TSV (src<TAB>dst, '#' comments)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -365,6 +373,8 @@ def main(argv=None) -> int:
     try:
         g, _labels = load_edge_list(args.graph)
         text = _HANDLERS[args.command](args, g, parser)
+        if args.output:
+            _write_output(args.output, text)
     except InputFormatError as exc:
         print(f"flowrank: input error: {exc}", file=sys.stderr)
         return 3
@@ -375,10 +385,7 @@ def main(argv=None) -> int:
         # data-dependent domain violations surface as input problems
         print(f"flowrank: input error: {exc}", file=sys.stderr)
         return 3
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return 0
 

@@ -211,6 +211,11 @@ def threshold_sweep(g: DirectedGraph, grid, trials: int, rng_seed: int) -> list[
     Every trial seeds one uniformly drawn node and reuses its coin
     stream across all grid points, so per-trial outbreaks are nested in
     transmissibility and the sweep curve is monotone for a fixed seed.
+    Each trial is one cascade traversal up the sorted grid, which draws
+    each edge's coin at most once: the single-sweep method of Newman &
+    Ziff, "Efficient Monte Carlo algorithm for site or bond percolation",
+    PRL 85, 4104 (2000). The grid may be unsorted and hold duplicates;
+    rows come back in its order.
     """
     grid = [float(p) for p in grid]
     if any(p < 0.0 or p > 1.0 for p in grid):
@@ -218,16 +223,18 @@ def threshold_sweep(g: DirectedGraph, grid, trials: int, rng_seed: int) -> list[
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = g.node_count
+    order = np.argsort(grid, kind="stable")
+    ascending = np.asarray(grid, dtype=np.float64)[order]
     fractions = np.empty((len(grid), trials))
     seeds = np.empty(1, dtype=np.int64)
     for j in range(trials):
         base_int = trial_base(rng_seed, j)
         u = unit_float(stream_value(base_int, SLOT_SEED_NODE))
         seeds[0] = min(int(u * n), n - 1)
-        base = np.uint64(base_int)
-        for gi, p in enumerate(grid):
-            rounds = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, p, base)
-            fractions[gi, j] = np.count_nonzero(rounds >= 0) / n
+        level = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, ascending,
+                                   np.uint64(base_int))
+        reached = np.cumsum(np.bincount(level[level >= 0], minlength=len(grid)))
+        fractions[order, j] = reached / n
     stats = []
     for gi, p in enumerate(grid):
         row = fractions[gi]

@@ -236,6 +236,9 @@ def load_edge_list(path, *, mapping_path=None) -> tuple[DirectedGraph, list[str]
         graph = build_graph(ids.reshape(-1, 2))
     except ValueError as exc:
         raise InputFormatError(str(exc), path=str(path)) from exc
+    except MemoryError as exc:
+        raise InputFormatError(f"not enough memory for a graph of {int(ids.max()) + 1} nodes",
+                               path=str(path)) from exc
     return graph, labels
 
 

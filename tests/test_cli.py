@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from flowrank import build_graph, from_records, write_event_log
+from flowrank import build_graph, cli, from_records, graph, write_event_log
+from flowrank.graph import MAX_NODES
 
 from oracles import edges_chain, edges_ring, random_sc_edges
 
@@ -238,6 +239,31 @@ def test_exit_3_when_nodemap_cannot_be_written(tmp_path):
     out = run_cli("spectral", "--graph", p, expect=3)
     _assert_input_error(out)
     assert "labels.tsv.nodemap.tsv" in out.stderr
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "adir"])
+def test_exit_3_when_output_cannot_be_written(tmp_path, ring_graph, target):
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = run_cli("spectral", "--graph", ring_graph, "--output", tmp_path / target, expect=3)
+    _assert_input_error(out)
+    assert str(tmp_path / target) in out.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_exit_3_when_the_graph_does_not_fit_in_memory(tmp_path, monkeypatch, capsys):
+    # an id just below MAX_NODES is valid; stand in for the failed allocation
+    def no_memory(edges, node_count=None):
+        raise MemoryError
+    monkeypatch.setattr(graph, "build_graph", no_memory)
+    p = tmp_path / "huge.tsv"
+    p.write_text(f"0\t{MAX_NODES - 1}\n")
+    assert cli.main(["spectral", "--graph", str(p)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("flowrank: input error: ")
+    assert f"huge.tsv: not enough memory for a graph of {MAX_NODES} nodes" in lines[0]
 
 
 def test_exit_4_on_numerical_failures(ring_graph, tmp_path):

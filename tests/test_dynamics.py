@@ -3,10 +3,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from flowrank import (
     CONSERVATIVE,
     NONCONSERVATIVE,
+    CascadeRunStats,
     ConvergenceError,
     DanglingPolicy,
     NumericalError,
@@ -22,7 +24,8 @@ from flowrank import (
     sis_step,
     threshold_sweep,
 )
-from flowrank.rng import stream_value, trial_base, unit_float
+from flowrank import _kernels
+from flowrank.rng import SLOT_SEED_NODE, stream_value, trial_base, unit_float
 
 from oracles import (
     conservative_fixed_point,
@@ -317,3 +320,77 @@ def test_threshold_sweep_deterministic_across_runs():
     b = threshold_sweep(g, [0.2, 0.6], trials=25, rng_seed=8)
     assert all(x.mean_outbreak_fraction == y.mean_outbreak_fraction
                and x.stderr == y.stderr for x, y in zip(a, b))
+
+
+@hst.composite
+def small_graphs(draw):
+    """Graphs of 1-12 nodes; nodes without out-edges are dangling."""
+    n = draw(hst.integers(1, 12))
+    edges = draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1)),
+                           max_size=4 * n))
+    return build_graph(edges, node_count=n)
+
+
+# repeated values make duplicates likely; 0.0 and 1.0 are the ends of the range
+GRID = hst.lists(hst.one_of(hst.sampled_from([0.0, 0.25, 0.5, 1.0]), hst.floats(0.0, 1.0)),
+                 min_size=1, max_size=7)
+DIAMOND = build_graph([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)], node_count=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(), picks=hst.lists(hst.integers(0, 99), min_size=1, max_size=3),
+       grid=GRID, trial=hst.integers(0, 40))
+@example(g=DIAMOND, picks=[0, 4], grid=[0.0, 0.5, 0.5, 1.0, 1.0], trial=0)
+def test_grid_levels_match_scalar_rounds(g, picks, grid, trial):
+    # the grid mode joins a node at point k exactly when a traversal at p[k] alone reaches it
+    seeds = np.unique(np.asarray(picks) % g.node_count)
+    p = np.sort(np.asarray(grid, dtype=np.float64))
+    base = np.uint64(trial_base(5, trial))
+    level = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, p, base)
+    for k, pk in enumerate(p):
+        rounds = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, float(pk), base)
+        assert np.array_equal((level >= 0) & (level <= k), rounds >= 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs(), picks=hst.lists(hst.integers(0, 99), min_size=1, max_size=3),
+       grid=GRID, rng_seed=hst.integers(0, 2**32))
+def test_cascade_membership_nested_in_p_for_every_trial(g, picks, grid, rng_seed):
+    seeds = sorted({x % g.node_count for x in picks})
+    for trial in range(4):
+        reached = [cascade_rounds(g, seeds, p, rng_seed, trial) >= 0 for p in sorted(grid)]
+        assert all(np.all(a <= b) for a, b in zip(reached, reached[1:]))
+
+
+def _sweep_point_by_point(g, grid, trials, rng_seed):
+    """threshold_sweep as one traversal per grid point: the oracle for the nested sweep."""
+    grid = [float(p) for p in grid]
+    n = g.node_count
+    fractions = np.empty((len(grid), trials))
+    seeds = np.empty(1, dtype=np.int64)
+    for j in range(trials):
+        base_int = trial_base(rng_seed, j)
+        u = unit_float(stream_value(base_int, SLOT_SEED_NODE))
+        seeds[0] = min(int(u * n), n - 1)
+        base = np.uint64(base_int)
+        for gi, p in enumerate(grid):
+            rounds = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, p, base)
+            fractions[gi, j] = np.count_nonzero(rounds >= 0) / n
+    stats = []
+    for gi, p in enumerate(grid):
+        row = fractions[gi]
+        mean = float(row.mean())
+        stderr = float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        stats.append(CascadeRunStats(transmissibility=p, trials=trials,
+                                     mean_outbreak_fraction=mean,
+                                     stderr=stderr, rng_seed=rng_seed))
+    return stats
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs(), grid=GRID, trials=hst.integers(1, 6), rng_seed=hst.integers(0, 2**32))
+@example(g=DIAMOND, grid=[0.9, 0.1, 0.5, 0.5], trials=5, rng_seed=1)
+def test_threshold_sweep_matches_point_by_point_oracle(g, grid, trials, rng_seed):
+    # repr round-trips floats, so equal reprs mean equal bits
+    got = threshold_sweep(g, grid, trials, rng_seed)
+    assert repr(got) == repr(_sweep_point_by_point(g, grid, trials, rng_seed))
