@@ -1,15 +1,20 @@
 """Command-line front end.
 
 Subcommands: spectral, centrality, simulate, threshold, influence,
-correlate. All numeric output uses 12-significant-digit formatting and
-fixed field orders, so identical inputs and seed produce byte-identical
-files. Exit codes: 0 success, 2 usage error, 3 input format error
-(including an --output path that cannot be written), 4 numerical failure.
+correlate. Handlers return named columns (spectral and correlate a
+dict); once they succeed, one renderer streams them to stdout or
+--output as CSV or sorted-key JSON rows. Floats keep 12 significant
+digits and fields a fixed order, so identical inputs and seed produce
+byte-identical files. Exit codes: 0 success, 2 usage error (including a
+non-finite grid value), 3 input format error (including an --output path
+that cannot be written), 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,43 +31,99 @@ from .graph import DanglingPolicy, indegree_vector, load_edge_list
 from .spectral import is_acyclic, power_iteration
 
 _CLI_MEASURES = ("pagerank", "alpha", "nalpha", "eigenvector", "indegree")
+_CHUNK_ROWS = 65536
+_F12 = "{:.12g}".format
 
 
-def _f12(x) -> str:
-    return f"{float(x):.12g}"
+class _Table(dict):
+    """Report columns in CSV order: header -> numpy array or list of float, int or str.
+
+    None leaves the column's CSV cells empty and its key out of JSON rows.
+    """
 
 
-def _jnum(x) -> float:
-    return float(_f12(x))
+def _json_rows(table: _Table, lo: int, hi: int | None) -> list[dict]:
+    columns = {key: _json_value(v[lo:hi]) for key, v in table.items() if v is not None}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _json_value(value):
+    # a scalar, a column, or a dict of them (tables become lists of row objects)
+    if isinstance(value, _Table):
+        return _json_rows(value, 0, None)
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    column = np.asarray(value)
+    cells = column.tolist()
+    if column.dtype.kind != "f":
+        return cells
+    return float(_F12(cells)) if column.ndim == 0 else list(map(float, map(_F12, cells)))
+
+
+def _csv_cells(column: np.ndarray, decimals: np.ndarray) -> list[str]:
+    # decimals[i] == str(i): node ids and ranks take their strings from one table
+    kind = column.dtype.kind
+    if kind == "f":
+        return list(map(_F12, column.tolist()))
+    if kind in "iu" and column.size and 0 <= column.min() and column.max() < decimals.size:
+        return decimals[column].tolist()
+    return list(map(str, column.tolist()))
+
+
+def _render(sink, report, fmt: str) -> None:
+    """Write a table `_CHUNK_ROWS` rows at a time, or a dict as one JSON object.
+
+    Under CSV, a dict's table (if it has one) is written in its place.
+    """
+    table = report if isinstance(report, _Table) else None
+    if fmt == "csv" and table is None:
+        table = next((v for v in report.values() if isinstance(v, _Table)), None)
+    if table is None:
+        sink.write(json.dumps(_json_value(report), sort_keys=True) + "\n")
+        return
+    columns = {key: np.asarray(v) for key, v in table.items() if v is not None}
+    starts = range(0, len(next(iter(columns.values()))), _CHUNK_ROWS)
+    if fmt == "json":
+        sink.write("[")
+        for lo in starts:
+            body = json.dumps(_json_rows(table, lo, lo + _CHUNK_ROWS), sort_keys=True)[1:-1]
+            sink.write(body if lo == 0 else ", " + body)
+        sink.write("]\n")
+        return
+    top = max([int(c.max()) + 1 for c in columns.values() if c.dtype.kind in "iu" and c.size] + [0])
+    decimals = np.array(list(map(str, range(min(top, starts.stop)))), dtype=object)
+    sink.write(",".join(table) + "\n")
+    for lo in starts:
+        cells = [_csv_cells(columns[key][lo:lo + _CHUNK_ROWS], decimals) if key in columns
+                 else itertools.repeat("") for key in table]
+        sink.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_output(path: str, report, fmt: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _render(fh, report, fmt)
+    except OSError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 def _parse_grid(spec: str, name: str, parser: argparse.ArgumentParser) -> list[float]:
-    # "lo:hi:step" (inclusive) or a comma-separated list of values
+    # "lo:hi:step" (inclusive) or a comma-separated list of values, all finite
     try:
         if ":" in spec:
-            lo_s, hi_s, step_s = spec.split(":")
-            lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-            if step <= 0 or lo > hi:
+            lo, hi, step = (float(v) for v in spec.split(":"))
+            if not (step > 0 and lo <= hi
+                    and all(map(math.isfinite, (lo, hi, step, (hi - lo) / step)))):
                 raise ValueError
             count = int(np.floor((hi - lo) / step + 1e-9)) + 1
             return [lo + i * step for i in range(count)]
         values = [float(v) for v in spec.split(",") if v.strip()]
-        if not values:
+        if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
     except ValueError:
         parser.error(f"{name} must be lo:hi:step with step > 0 and lo <= hi, "
-                     "or a comma-separated list")
-
-
-def _render_csv(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
+                     "or a comma-separated list, of finite numbers")
 
 
 def _starting_vector_arg(g, spec: str, parser: argparse.ArgumentParser) -> np.ndarray:
@@ -83,15 +144,14 @@ def _starting_vector_arg(g, spec: str, parser: argparse.ArgumentParser) -> np.nd
     parser.error("--x0 must be uniform, indegree, or point:<id>")
 
 
-def _cmd_spectral(args, g, parser) -> str:
+def _cmd_spectral(args, g, parser) -> dict:
     est = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
-    payload = {"lambda1": _jnum(est.lambda1), "iterations": est.iterations,
-               "residual": _jnum(est.residual)}
+    report = {"lambda1": est.lambda1, "iterations": est.iterations, "residual": est.residual}
     if is_acyclic(g):
-        payload["threshold_error"] = "no finite threshold (nilpotent adjacency)"
+        report["threshold_error"] = "no finite threshold (nilpotent adjacency)"
     else:
-        payload["threshold"] = _jnum(1.0 / est.lambda1)
-    return _render_json(payload)
+        report["threshold"] = 1.0 / est.lambda1
+    return report
 
 
 def _centrality_scores(g, measure: str, alpha: float | None):
@@ -106,7 +166,7 @@ def _centrality_scores(g, measure: str, alpha: float | None):
     return degree_centrality(g, "in")
 
 
-def _cmd_centrality(args, g, parser) -> str:
+def _cmd_centrality(args, g, parser) -> _Table:
     needs_alpha = args.measure in ("pagerank", "alpha", "nalpha")
     if args.alpha_sweep and not needs_alpha:
         parser.error(f"--alpha-sweep does not apply to measure {args.measure}")
@@ -120,35 +180,16 @@ def _cmd_centrality(args, g, parser) -> str:
         alphas = [0.85]
     else:
         parser.error(f"--alpha is required for {args.measure}")
-    blocks = []
-    for alpha in alphas:
-        scores = _centrality_scores(g, args.measure, alpha)
-        ranking = rank(scores)
-        blocks.append((alpha, scores, ranking))
-    if args.format == "json":
-        payload = []
-        for alpha, scores, ranking in blocks:
-            for node in range(g.node_count):
-                entry = {"node": node, "score": _jnum(scores.values[node]),
-                         "rank": int(ranking.ranks[node])}
-                if args.alpha_sweep:
-                    entry["alpha"] = _jnum(alpha)
-                payload.append(entry)
-        return _render_json(payload)
-    rows = []
-    for alpha, scores, ranking in blocks:
-        for node in range(g.node_count):
-            row = (str(node), _f12(scores.values[node]), str(int(ranking.ranks[node])))
-            if args.alpha_sweep:
-                row = (_f12(alpha),) + row
-            rows.append(row)
-    header = ("node", "score", "rank")
-    if args.alpha_sweep:
-        header = ("alpha",) + header
-    return _render_csv(header, rows)
+    blocks = [_centrality_scores(g, args.measure, alpha) for alpha in alphas]
+    n = g.node_count
+    table = _Table(alpha=np.repeat(alphas, n)) if args.alpha_sweep else _Table()
+    table.update(node=np.tile(np.arange(n), len(alphas)),
+                 score=np.concatenate([s.values for s in blocks]),
+                 rank=np.concatenate([rank(s).ranks for s in blocks]))
+    return table
 
 
-def _cmd_simulate(args, g, parser) -> str:
+def _cmd_simulate(args, g, parser) -> _Table:
     if args.steps < 0:
         parser.error("--steps must be >= 0")
     x0 = _starting_vector_arg(g, args.x0, parser)
@@ -170,42 +211,29 @@ def _cmd_simulate(args, g, parser) -> str:
         cfg = ProcessConfig(kind=NONCONSERVATIVE, alpha=args.alpha, delta=args.delta)
         step = lambda x: nonconservative_step(g, x, cfg)
     trajectory = [x0]
-    x = x0
     for _ in range(args.steps):
-        x = step(x)
-        trajectory.append(x)
+        trajectory.append(step(trajectory[-1]))
+    steps = np.arange(len(trajectory))
     if args.track == "norms":
-        if args.format == "json":
-            return _render_json([{"step": t, "l1_norm": _jnum(np.abs(x).sum())}
-                                 for t, x in enumerate(trajectory)])
-        rows = [(str(t), _f12(np.abs(x).sum())) for t, x in enumerate(trajectory)]
-        return _render_csv(("step", "l1_norm"), rows)
-    if args.format == "json":
-        return _render_json([{"step": t, "node": v, "value": _jnum(x[v])}
-                             for t, x in enumerate(trajectory)
-                             for v in range(g.node_count)])
-    rows = [(str(t), str(v), _f12(x[v]))
-            for t, x in enumerate(trajectory) for v in range(g.node_count)]
-    return _render_csv(("step", "node", "value"), rows)
+        return _Table(step=steps, l1_norm=[np.abs(x).sum() for x in trajectory])
+    n = g.node_count
+    return _Table(step=np.repeat(steps, n), node=np.tile(np.arange(n), len(trajectory)),
+                  value=np.concatenate(trajectory))
 
 
-def _cmd_threshold(args, g, parser) -> str:
+def _cmd_threshold(args, g, parser) -> _Table:
     grid = _parse_grid(args.grid, "--grid", parser)
     if any(p < 0.0 or p > 1.0 for p in grid):
         parser.error("--grid values must lie in [0, 1]")
     if args.trials < 1:
         parser.error("--trials must be >= 1")
     stats = threshold_sweep(g, grid, args.trials, args.seed)
-    if args.format == "json":
-        return _render_json([{"transmissibility": _jnum(s.transmissibility),
-                              "mean_fraction": _jnum(s.mean_outbreak_fraction),
-                              "stderr": _jnum(s.stderr)} for s in stats])
-    rows = [(_f12(s.transmissibility), _f12(s.mean_outbreak_fraction), _f12(s.stderr))
-            for s in stats]
-    return _render_csv(("transmissibility", "mean_fraction", "stderr"), rows)
+    return _Table(transmissibility=[s.transmissibility for s in stats],
+                  mean_fraction=[s.mean_outbreak_fraction for s in stats],
+                  stderr=[s.stderr for s in stats])
 
 
-def _cmd_influence(args, g, parser) -> str:
+def _cmd_influence(args, g, parser) -> _Table:
     log = read_event_log(args.events, args.mode)
     if args.entropy_filter is not None:
         log = log.restrict(spam_filter(log, args.entropy_filter))
@@ -219,26 +247,15 @@ def _cmd_influence(args, g, parser) -> str:
     else:
         estimates = global_influence(log, g, min_items=args.min_items,
                                      min_rebroadcasts=args.min_rebroadcasts)
-    if args.format == "json":
-        payload = []
-        for user in sorted(estimates):
-            est = estimates[user]
-            entry = {"user_id": user, "n_items": est.n_items,
-                     "influence": _jnum(est.local if args.kind == "local" else est.global_)}
-            if est.significance_p is not None:
-                entry["significance_p"] = _jnum(est.significance_p)
-            payload.append(entry)
-        return _render_json(payload)
-    rows = []
-    for user in sorted(estimates):
-        est = estimates[user]
-        value = est.local if args.kind == "local" else est.global_
-        p = _f12(est.significance_p) if est.significance_p is not None else ""
-        rows.append((str(user), str(est.n_items), _f12(value), p))
-    return _render_csv(("user_id", "n_items", "influence", "significance_p"), rows)
+    users = sorted(estimates)
+    ests = [estimates[user] for user in users]
+    return _Table(user_id=users, n_items=[e.n_items for e in ests],
+                  influence=[e.local if args.kind == "local" else e.global_ for e in ests],
+                  significance_p=([e.significance_p for e in ests]
+                                  if args.kind == "local" and args.screen else None))
 
 
-def _cmd_correlate(args, g, parser) -> str:
+def _cmd_correlate(args, g, parser) -> dict:
     if (args.alpha_sweep is None) == (args.alpha is None):
         parser.error("provide exactly one of --alpha or --alpha-sweep")
     grid = (_parse_grid(args.alpha_sweep, "--alpha-sweep", parser)
@@ -257,26 +274,10 @@ def _cmd_correlate(args, g, parser) -> str:
         active_users=args.active_users,
         apply_spam_filter=not args.no_spam_filter,
         apply_significance=not args.no_significance)
-    if args.format == "json":
-        return _render_json({
-            "alpha_grid": [_jnum(a) for a in report.alpha_grid],
-            "influence_kind": report.influence_kind,
-            "cohort_users": list(report.cohort_users),
-            "entries": [{"alpha": _jnum(e.alpha), "measure": e.measure,
-                         "influence_kind": e.influence_kind,
-                         "pearson_r": _jnum(e.pearson_r),
-                         "cohort_size": e.cohort_size} for e in report.entries]})
-    rows = [(_f12(e.alpha), e.measure, e.influence_kind, _f12(e.pearson_r),
-             str(e.cohort_size)) for e in report.entries]
-    return _render_csv(("alpha", "measure", "influence_kind", "pearson_r", "cohort_size"), rows)
-
-
-def _write_output(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputFormatError(str(exc)) from exc
+    fields = ("alpha", "measure", "influence_kind", "pearson_r", "cohort_size")
+    return {"alpha_grid": report.alpha_grid, "influence_kind": report.influence_kind,
+            "cohort_users": report.cohort_users,
+            "entries": _Table((f, [getattr(e, f) for e in report.entries]) for f in fields)}
 
 
 def _add_common(sp) -> None:
@@ -372,21 +373,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         g, _labels = load_edge_list(args.graph)
-        text = _HANDLERS[args.command](args, g, parser)
+        report = _HANDLERS[args.command](args, g, parser)
         if args.output:
-            _write_output(args.output, text)
-    except InputFormatError as exc:
+            _write_output(args.output, report, args.format)
+    except (InputFormatError, ValueError) as exc:
+        # data-dependent domain violations (ValueError) surface as input problems
         print(f"flowrank: input error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"flowrank: numerical error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        # data-dependent domain violations surface as input problems
-        print(f"flowrank: input error: {exc}", file=sys.stderr)
-        return 3
     if not args.output:
-        sys.stdout.write(text)
+        _render(sys.stdout, report, args.format)
     return 0
 
 

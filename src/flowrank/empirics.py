@@ -339,8 +339,8 @@ class Cascade:
         return len(self.members)
 
 
-def _check_log_users(log: EventLog, g: DirectedGraph) -> None:
-    users = log.user_ids()
+def _check_users(users: np.ndarray, g: DirectedGraph) -> None:
+    # users: distinct ids in ascending order, as EventLog.user_ids gives them
     bad = users[(users < 0) | (users >= g.node_count)]
     if bad.size:
         shown = ", ".join(str(int(u)) for u in bad[:10])
@@ -366,7 +366,7 @@ def local_influence(log: EventLog, g: DirectedGraph, window: int = 100,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    _check_log_users(log, g)
+    _check_users(log.user_ids(), g)
     estimates: dict[int, InfluenceEstimate] = {}
     groups = _qualifying_by_submitter(log, min_rebroadcasts)
     for user in sorted(groups):
@@ -390,7 +390,7 @@ def extract_cascade(log: EventLog, g: DirectedGraph, item_id: str) -> Cascade:
     no member stay out.
     """
     item = log.get(item_id)
-    _check_log_users(log.restrict([item_id]), g)
+    _check_users(np.unique(np.append(item.rebroadcast_users, item.submitter)), g)
     members = {item.submitter}
     edges: list[tuple[int, int]] = []
     for user in item.rebroadcast_users:
@@ -407,7 +407,7 @@ def extract_cascade(log: EventLog, g: DirectedGraph, item_id: str) -> Cascade:
 def global_influence(log: EventLog, g: DirectedGraph, min_items: int = 2,
                      min_rebroadcasts: int = 0) -> dict[int, InfluenceEstimate]:
     """Mean size of the cascades each submitter's qualifying items trigger."""
-    _check_log_users(log, g)
+    _check_users(log.user_ids(), g)
     estimates: dict[int, InfluenceEstimate] = {}
     groups = _qualifying_by_submitter(log, min_rebroadcasts)
     for user in sorted(groups):

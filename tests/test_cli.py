@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: outputs, determinism, and exit codes."""
+import io
 import json
 import subprocess
 import sys
@@ -194,6 +195,28 @@ def test_exit_2_on_usage_errors(ring_graph):
     run_cli("threshold", "--graph", ring_graph, "--grid", "0:1:bad", expect=2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--grid", "0:inf:0.5"],
+    ["threshold", "--grid", "nan"],
+    ["threshold", "--grid", "0.5,nan"],
+    ["threshold", "--grid=-inf,0.5"],
+    ["threshold", "--grid", "0:1:inf"],
+    ["threshold", "--grid", "nan:1:0.5"],
+    ["threshold", "--grid=-1e308:1e308:1"],
+    ["centrality", "--measure", "nalpha", "--alpha-sweep", "0:inf:0.5"],
+    ["centrality", "--measure", "pagerank", "--alpha-sweep", "0.5,inf"],
+    ["correlate", "--events", "unread.csv", "--measures", "pagerank", "--alpha-sweep", "nan"],
+])
+def test_exit_2_on_non_finite_grid_values(ring_graph, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--graph", str(ring_graph)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith("flowrank: error: ")
+    assert "finite numbers" in out.err
+
+
 def test_exit_3_on_input_problems(tmp_path, ring_graph):
     missing = tmp_path / "missing.tsv"
     run_cli("spectral", "--graph", missing, expect=3)
@@ -297,6 +320,27 @@ def test_output_file_matches_stdout(ring_graph, tmp_path):
     run_cli("centrality", "--graph", ring_graph, "--measure", "indegree",
             "--output", onpath)
     assert onpath.read_text() == a.stdout
+
+
+def test_render_writes_the_row_by_row_bytes(monkeypatch):
+    # three-row chunks put boundaries inside the table; floats go through 12 digits
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    scores = [0.1, -0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 2 / 3, 1.5e14]
+    users = [3, 10**12, 0, -4, 8, 8, 1, 2, 5]
+    names = ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+    table = cli._Table(node=np.arange(9), score=np.array(scores), user=users, name=names,
+                       p=None)
+    rows = [{"node": i, "score": float(f"{s:.12g}"), "user": u, "name": n}
+            for i, (s, u, n) in enumerate(zip(scores, users, names))]
+    csv = "node,score,user,name,p\n" + "".join(
+        f"{i},{s:.12g},{u},{n},\n" for i, (s, u, n) in enumerate(zip(scores, users, names)))
+    empty = cli._Table(node=[], score=np.array([]))
+    for report, fmt, expected in [(table, "json", json.dumps(rows, sort_keys=True) + "\n"),
+                                  (table, "csv", csv),
+                                  (empty, "json", "[]\n"), (empty, "csv", "node,score\n")]:
+        sink = io.StringIO()
+        cli._render(sink, report, fmt)
+        assert sink.getvalue() == expected, fmt
 
 
 def test_json_format_round_trips(ring_graph):

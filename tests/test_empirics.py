@@ -167,6 +167,15 @@ def test_local_influence_rejects_unknown_users():
 
 # -------------------------------------------------------------------- cascades
 
+def test_extract_cascade_checks_only_its_own_items_users():
+    g = build_graph(edges_ring(3))
+    log = from_records([_submit("a", 0, 0), _rb("a", 9, 1), _rb("a", 1, 2),
+                        _submit("b", 1, 5), _rb("b", 7, 6), _submit("c", 2, 9), _rb("c", 1, 10)])
+    with pytest.raises(ValueError, match=r"^unknown user ids in log: 9$"):
+        extract_cascade(log, g, "a")
+    assert extract_cascade(log, g, "c").members == frozenset({1, 2})
+
+
 def test_extract_cascade_replays_in_event_order():
     # 1 follows 0; 2 follows 0 and 1; 3 follows 2 only
     g = build_graph([(1, 0), (2, 0), (2, 1), (3, 2)])
