@@ -9,6 +9,10 @@ never, 0 seed). Over a nondecreasing grid it returns the index of the
 first grid point at which each node joins (-1 never), from a single
 traversal that carries the reached set up the grid and draws each edge's
 coin at most once.
+
+replay_joins replays an item's rebroadcasts over the follower graph in
+frontier-at-a-time passes and returns the event positions at which
+users join its cascade.
 """
 from __future__ import annotations
 
@@ -32,6 +36,12 @@ def gather_sum(indptr, indices, x):
         # reduceat segment ends line up because empty segments add nothing
         y[nz] = np.add.reduceat(x[indices], indptr[nz])
     return y
+
+
+def _segment_edges(starts, counts, total):
+    # CSR positions of the segments [starts, starts + counts), concatenated
+    prev = np.cumsum(counts) - counts
+    return np.repeat(starts - prev, counts) + np.arange(total)
 
 
 def ic_spread(out_indptr, out_indices, seeds, p, base):
@@ -79,8 +89,7 @@ def ic_spread(out_indptr, out_indices, seeds, p, base):
             total = int(counts.sum())
             if total == 0:
                 break
-            prev = np.cumsum(counts) - counts
-            edge_idx = np.repeat(starts - prev, counts) + np.arange(total)
+            edge_idx = _segment_edges(starts, counts, total)
             coin = unit_floats(mix64_array(base + (edge_idx.astype(np.uint64) + _TWO) * _G))
             to = out_indices[edge_idx]
             opened = coin < pk
@@ -93,3 +102,56 @@ def ic_spread(out_indptr, out_indices, seeds, p, base):
             frontier = np.unique(hit)
             joined[frontier] = r if scalar else k
     return joined
+
+
+def replay_joins(in_indptr, in_indices, source, users):
+    """Event positions at which users join the source's cascade, ascending.
+
+    users holds an item's rebroadcasters in event order; position i is
+    users[i]. A rebroadcaster joins at its first event that comes after
+    the join of someone it follows (the source counts as joined at -1),
+    which is the rule of replaying the events one by one. Followers come
+    from the in-CSR. Each node's join J starts at "never". In a pass,
+    every node p whose J fell offers each follower u the first position
+    of u after J[p], and J[u] keeps the smallest offer; passes repeat
+    until no J falls. Only users with repeat events need more than their
+    first position: they find the next one by binary search over sorted
+    user·(m+1) + position keys, which fit in int64 while the node count
+    times m + 1 does.
+    """
+    n = in_indptr.shape[0] - 1
+    m = users.shape[0]
+    never = m
+    first = np.full(n, never, np.int64)
+    np.minimum.at(first, users, np.arange(m))
+    repeats = np.count_nonzero(first < never) < m
+    if repeats:
+        span = m + 1
+        again = np.bincount(users, minlength=n) > 1
+        mine = again[users]
+        keys = np.append(np.sort(users[mine] * span + np.flatnonzero(mine)),
+                         np.iinfo(np.int64).max)
+    joined = np.full(n, never, np.int64)
+    joined[source] = -1
+    fell = np.zeros(n, bool)
+    frontier = np.asarray([source], np.int64)
+    while frontier.size:
+        starts = in_indptr[frontier]
+        counts = in_indptr[frontier + 1] - starts
+        to = in_indices[_segment_edges(starts, counts, int(counts.sum()))]
+        after = np.repeat(joined[frontier], counts)
+        offer = first[to]
+        late = offer <= after
+        offer[late] = never
+        if repeats:
+            redo = np.flatnonzero(late & again[to])
+            # after >= -1, so the first key above the query is to's next event if it has one
+            hit = keys[np.searchsorted(keys, to[redo] * span + after[redo], side="right")]
+            offer[redo] = np.where(hit // span == to[redo], hit % span, never)
+        better = offer < joined[to]
+        to, offer = to[better], offer[better]
+        np.minimum.at(joined, to, offer)
+        fell[to] = True
+        frontier = np.flatnonzero(fell)
+        fell[frontier] = False
+    return np.sort(joined[(joined >= 0) & (joined < never)])

@@ -6,8 +6,9 @@ dict); once they succeed, one renderer streams them to stdout or
 --output as CSV or sorted-key JSON rows. Floats keep 12 significant
 digits and fields a fixed order, so identical inputs and seed produce
 byte-identical files. Exit codes: 0 success, 2 usage error (including a
-non-finite grid value), 3 input format error (including an --output path
-that cannot be written), 4 numerical failure.
+non-finite grid value or a range of more than _MAX_GRID_POINTS points), 3
+input format error (including an --output path that cannot be written), 4
+numerical failure (including a simulate step that overflows).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .spectral import is_acyclic, power_iteration
 
 _CLI_MEASURES = ("pagerank", "alpha", "nalpha", "eigenvector", "indegree")
 _CHUNK_ROWS = 65536
+_MAX_GRID_POINTS = 100_000   # a lo:hi:step grid with more points is a usage error
 _F12 = "{:.12g}".format
 
 
@@ -116,6 +118,8 @@ def _parse_grid(spec: str, name: str, parser: argparse.ArgumentParser) -> list[f
                     and all(map(math.isfinite, (lo, hi, step, (hi - lo) / step)))):
                 raise ValueError
             count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+            if count > _MAX_GRID_POINTS:
+                parser.error(f"{name} has {count} points; at most {_MAX_GRID_POINTS} are allowed")
             return [lo + i * step for i in range(count)]
         values = [float(v) for v in spec.split(",") if v.strip()]
         if not values or not all(map(math.isfinite, values)):
@@ -210,12 +214,16 @@ def _cmd_simulate(args, g, parser) -> _Table:
             parser.error("nonconservative requires --alpha")
         cfg = ProcessConfig(kind=NONCONSERVATIVE, alpha=args.alpha, delta=args.delta)
         step = lambda x: nonconservative_step(g, x, cfg)
-    trajectory = [x0]
-    for _ in range(args.steps):
-        trajectory.append(step(trajectory[-1]))
+    trajectory, norms = [x0], [np.abs(x0).sum()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, args.steps + 1):
+            trajectory.append(step(trajectory[-1]))
+            norms.append(np.abs(trajectory[-1]).sum())
+            if not np.isfinite(norms[-1]):
+                raise NumericalError(f"{args.process} step {t} produced non-finite values")
     steps = np.arange(len(trajectory))
     if args.track == "norms":
-        return _Table(step=steps, l1_norm=[np.abs(x).sum() for x in trajectory])
+        return _Table(step=steps, l1_norm=norms)
     n = g.node_count
     return _Table(step=np.repeat(steps, n), node=np.tile(np.arange(n), len(trajectory)),
                   value=np.concatenate(trajectory))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from . import centrality as _centrality
 from .dynamics import cascade_rounds
 from .errors import InputFormatError, NumericalError
@@ -326,22 +327,30 @@ class InfluenceEstimate:
     significance_p: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cascade:
-    """Follower-connected closure of an item's rebroadcasts."""
+    """Follower-connected closure of an item's rebroadcasts.
+
+    `order` holds the members in join order as int64, the submitter
+    first. A member's parents are the accounts it follows that come
+    before it in `order`.
+    """
 
     item_id: str
-    members: frozenset[int]
-    edges: tuple[tuple[int, int], ...]
+    order: np.ndarray
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.order.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return int(self.order.size)
 
 
 def _check_users(users: np.ndarray, g: DirectedGraph) -> None:
-    # users: distinct ids in ascending order, as EventLog.user_ids gives them
-    bad = users[(users < 0) | (users >= g.node_count)]
+    # the message names the distinct ids outside the graph in ascending order
+    bad = np.unique(users[(users < 0) | (users >= g.node_count)])
     if bad.size:
         shown = ", ".join(str(int(u)) for u in bad[:10])
         more = f" (+{bad.size - 10} more)" if bad.size > 10 else ""
@@ -384,24 +393,16 @@ def local_influence(log: EventLog, g: DirectedGraph, window: int = 100,
 def extract_cascade(log: EventLog, g: DirectedGraph, item_id: str) -> Cascade:
     """Follower-connected spread of one item, replayed in event order.
 
-    A rebroadcaster joins when it follows at least one member that is
-    already in the cascade at its event time; all followed members
-    present earlier are recorded as parents. Rebroadcasters connected to
-    no member stay out.
+    A rebroadcaster joins at its first event that comes after the join
+    of at least one account it follows; the submitter is in from the
+    start. Repeat events of a member change nothing, and rebroadcasters
+    connected to no member stay out.
     """
     item = log.get(item_id)
-    _check_users(np.unique(np.append(item.rebroadcast_users, item.submitter)), g)
-    members = {item.submitter}
-    edges: list[tuple[int, int]] = []
-    for user in item.rebroadcast_users:
-        user = int(user)
-        if user in members:
-            continue
-        parents = [int(p) for p in g.out_neighbors(user) if int(p) in members]
-        if parents:
-            members.add(user)
-            edges.extend((p, user) for p in parents)
-    return Cascade(item_id=item_id, members=frozenset(members), edges=tuple(edges))
+    users = item.rebroadcast_users
+    _check_users(np.append(users, item.submitter), g)
+    joins = _kernels.replay_joins(g.in_indptr, g.in_indices, item.submitter, users)
+    return Cascade(item_id=item_id, order=np.append(item.submitter, users[joins]))
 
 
 def global_influence(log: EventLog, g: DirectedGraph, min_items: int = 2,

@@ -103,3 +103,28 @@ def nonconservative_sum(a: np.ndarray, x0: np.ndarray, alpha: float, delta: floa
     r = dense_replication(a, delta, alpha)
     n = a.shape[0]
     return np.linalg.solve(np.eye(n) - alpha * r.T, x0)
+
+
+def sequential_cascade(edges, submitter: int, users) -> tuple[list[int], set[tuple[int, int]]]:
+    """Members in join order and parent edges, replaying rebroadcasts one by one.
+
+    An edge (a, b) means "a follows b". A rebroadcaster joins when it
+    follows at least one member already in the cascade at its event; all
+    such members become its parents. Repeat events of a member are skipped.
+    """
+    followees: dict[int, set[int]] = {}
+    for a, b in edges:
+        if a != b:
+            followees.setdefault(int(a), set()).add(int(b))
+    order = [int(submitter)]
+    members = {int(submitter)}
+    parents: set[tuple[int, int]] = set()
+    for user in map(int, users):
+        if user in members:
+            continue
+        found = followees.get(user, set()) & members
+        if found:
+            members.add(user)
+            order.append(user)
+            parents.update((p, user) for p in found)
+    return order, parents

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,46 @@ def test_exit_2_on_non_finite_grid_values(ring_graph, argv, capsys):
     assert out.out == ""
     assert out.err.splitlines()[-1].startswith("flowrank: error: ")
     assert "finite numbers" in out.err
+
+
+def test_exit_2_on_grid_with_too_many_points(ring_graph, capsys, monkeypatch):
+    def guarded_range(*args):
+        # a grid list of this size would be built only if the count check were missing
+        if args[-1] > 10 * cli._MAX_GRID_POINTS:
+            pytest.fail(f"range{args} built past the grid point check")
+        return range(*args)
+
+    monkeypatch.setattr(cli, "range", guarded_range, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["threshold", "--graph", str(ring_graph), "--grid", "0:1:1e-9", "--trials", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == (
+        f"flowrank: error: --grid has 1000000000 points; at most {cli._MAX_GRID_POINTS} are allowed")
+
+
+def test_grid_point_limit_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+    parser = cli.build_parser()
+    assert cli._parse_grid("0:1:0.25", "--grid", parser) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_grid("0:1:0.2", "--grid", parser)
+    assert exc.value.code == 2
+    assert "--grid has 6 points; at most 5 are allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps,track", [(2, "norms"), (3, "norms"), (3, "vectors")])
+def test_exit_4_when_a_simulate_step_overflows(ring_graph, capsys, steps, track):
+    # at alpha = 1e300 the second step overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", "--graph", str(ring_graph), "--process", "nonconservative",
+                         "--alpha", "1e300", "--steps", str(steps), "--track", track])
+    assert code == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "flowrank: numerical error: nonconservative step 2 produced non-finite values\n"
 
 
 def test_exit_3_on_input_problems(tmp_path, ring_graph):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as hst
 
 from flowrank import (
     EventLog,
@@ -24,7 +25,7 @@ from flowrank import (
     write_event_log,
 )
 
-from oracles import edges_ring, random_sc_edges
+from oracles import edges_ring, random_sc_edges, sequential_cascade
 
 
 def _submit(item, user, t):
@@ -167,6 +168,13 @@ def test_local_influence_rejects_unknown_users():
 
 # -------------------------------------------------------------------- cascades
 
+def _parent_edges(cascade, g):
+    # (followee, member) pairs in which the followee joined first
+    rank = {u: i for i, u in enumerate(cascade.order.tolist())}
+    return {(int(p), u) for u, i in rank.items() for p in g.out_neighbors(u)
+            if rank.get(int(p), i) < i}
+
+
 def test_extract_cascade_checks_only_its_own_items_users():
     g = build_graph(edges_ring(3))
     log = from_records([_submit("a", 0, 0), _rb("a", 9, 1), _rb("a", 1, 2),
@@ -184,9 +192,60 @@ def test_extract_cascade_replays_in_event_order():
     ])
     c = extract_cascade(log, g, "a")
     # 3 rebroadcast before its only followee joined, so it stays out
+    assert c.order.tolist() == [0, 1, 2]
     assert c.members == frozenset({0, 1, 2})
     assert c.size == 3
-    assert set(c.edges) == {(0, 1), (0, 2), (1, 2)}
+    assert _parent_edges(c, g) == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_extract_cascade_twitter_repeat_joins_at_a_later_event():
+    # 2 follows only 1; its first rebroadcast comes before 1 joins, its second after
+    g = build_graph([(1, 0), (2, 1)])
+    log = from_records([_submit("a", 0, 0), _rb("a", 2, 1), _rb("a", 1, 2), _rb("a", 2, 3),
+                        _rb("a", 0, 4)], mode="twitter")
+    c = extract_cascade(log, g, "a")
+    assert c.order.tolist() == [0, 1, 2]
+    assert _parent_edges(c, g) == {(0, 1), (1, 2)}
+
+
+@hst.composite
+def replay_cases(draw):
+    """A small follower graph and one item's events, in either mode.
+
+    Few timestamps make ties likely. In twitter mode every event (the
+    submitter's too) comes again in a later stretch of the item's life,
+    when a user that was not connected at its first event may be.
+    """
+    n = draw(hst.integers(1, 10))
+    edges = draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1)),
+                           min_size=n, max_size=3 * n))
+    mode = draw(hst.sampled_from(["digg", "twitter"]))
+    submitter = draw(hst.integers(0, n - 1))
+    if mode == "digg":
+        users = draw(hst.lists(hst.integers(0, n - 1).filter(lambda u: u != submitter),
+                               unique=True, max_size=n))
+    else:
+        users = draw(hst.lists(hst.integers(0, n - 1), min_size=1, max_size=2 * n))
+    times = sorted(draw(hst.lists(hst.integers(1, 9), min_size=len(users), max_size=len(users))))
+    if mode == "twitter":
+        users += draw(hst.permutations(users))
+        times += [t + 9 for t in times]
+    records = [_submit("x", submitter, 0)] + [_rb("x", u, t) for u, t in zip(users, times)]
+    return edges, n, from_records(records, mode=mode)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=replay_cases())
+def test_extract_cascade_matches_sequential_replay(case):
+    edges, n, log = case
+    g = build_graph(edges, node_count=n)
+    item = log.get("x")
+    order, parents = sequential_cascade(edges, item.submitter, item.rebroadcast_users)
+    c = extract_cascade(log, g, "x")
+    assert c.order.dtype == np.int64
+    assert c.order.tolist() == order
+    assert c.members == frozenset(order)
+    assert _parent_edges(c, g) == parents
 
 
 def test_extract_cascade_includes_late_joiner_when_parent_present():

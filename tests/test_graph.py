@@ -172,6 +172,21 @@ def test_transfer_is_row_stochastic_hence_mass_conserving():
         assert abs(y.sum() - x.sum()) < 1e-12 * x.sum()
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 15), data=hst.data(), delta=hst.floats(0.0, 1.0),
+       policy=hst.sampled_from(list(DanglingPolicy)))
+def test_transfer_apply_conserves_mass(n, data, delta, policy):
+    # few edges leave many nodes dangling; every policy must keep their mass too
+    edges = data.draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1)),
+                                max_size=3 * n))
+    g = build_graph(edges, node_count=n)
+    x = np.asarray(data.draw(hst.lists(hst.floats(0.0, 1e6, allow_subnormal=False),
+                                       min_size=n, max_size=n)))
+    y = transfer_apply(g, x, delta, policy)
+    assert (y >= 0.0).all()
+    assert abs(y.sum() - x.sum()) <= 1e-12 * x.sum()
+
+
 def test_operators_are_linear():
     g = build_graph(random_sc_edges(30, 80, seed=31))
     x, y = _rand_vec(30, 1), _rand_vec(30, 2)
