@@ -1,5 +1,5 @@
 """PageRank, Alpha-Centrality and its normalized variant, degree and
-eigenvector centralities, and deterministic ranking.
+eigenvector centralities, their alpha-grid driver, and ranking.
 
 PageRank is the conservative process's steady state and
 Alpha-Centrality the non-conservative process's accumulated series:
@@ -8,6 +8,7 @@ their own argument checks, defaults and the spectral guard.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,19 +99,23 @@ def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
     return CentralityScores("alpha", alpha, x, origin)
 
 
-def _l1_normalized(values: np.ndarray) -> np.ndarray:
-    total = float(np.abs(values).sum())
-    if total == 0.0:
-        raise NumericalError("centrality vanished; nothing to normalize")
-    return values / total
-
-
-def _below_guard_band(g: DirectedGraph, alpha: float, guard: float) -> bool:
-    # which side of 1/lambda1 the normalized variant is on; inside the band it is undefined
+def _normalized_alpha(g: DirectedGraph, alpha: float, tol: float, guard: float, origin: str,
+                      series) -> CentralityScores:
+    # the guard-band rule; series() is the Alpha-Centrality at alpha, used below the band
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("normalized alpha centrality requires alpha in [0, 1]")
     rho = alpha * spectral_radius(g)
     if abs(rho - 1.0) <= guard:
         raise NumericalError("at spectral singularity")
-    return rho < 1.0
+    if rho > 1.0:
+        values = power_iteration(g, tol=min(tol, 1e-10)).eigvec
+    else:
+        values = series().values
+        total = float(np.abs(values).sum())
+        if total == 0.0:
+            raise NumericalError("centrality vanished; nothing to normalize")
+        values = values / total
+    return CentralityScores("normalized_alpha", alpha, values, origin)
 
 
 def normalized_alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
@@ -124,14 +129,9 @@ def normalized_alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
     centrality and is alpha-independent). Alphas within the relative
     guard band of 1/lambda1 are rejected.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("normalized alpha centrality requires alpha in [0, 1]")
     _, origin = _starting_vector(g, s, "indegree")
-    if _below_guard_band(g, alpha, guard):
-        cr = alpha_centrality(g, s, alpha, tol=tol, guard=guard)
-        return CentralityScores("normalized_alpha", alpha, _l1_normalized(cr.values), origin)
-    est = power_iteration(g, tol=min(tol, 1e-10))
-    return CentralityScores("normalized_alpha", alpha, est.eigvec, origin)
+    return _normalized_alpha(g, alpha, tol, guard, origin,
+                             lambda: alpha_centrality(g, s, alpha=alpha, tol=tol, guard=guard))
 
 
 def eigenvector_centrality(g: DirectedGraph, tol: float = 1e-10,
@@ -148,6 +148,46 @@ def degree_centrality(g: DirectedGraph, direction: str = "in") -> CentralityScor
     if direction == "out":
         return CentralityScores("outdegree", None, g.out_degree.astype(np.float64), "outdegree")
     raise ValueError("direction must be 'in' or 'out'")
+
+
+def sweep(g: DirectedGraph, measures, alphas, tol: float = 1e-9):
+    """Cells (alpha, measure, scores) for each alpha and, within it, each measure.
+
+    "nalpha" names normalized_alpha; an unknown measure is rejected
+    before any work. scores is a CentralityScores, or the NumericalError
+    that leaves the measure undefined at that alpha; a ValueError is
+    raised at its alpha. Each alpha's series serves both alpha measures,
+    and measures without an alpha are scored once per grid. tol applies
+    to pagerank and the alpha measures.
+    """
+    measures = ["normalized_alpha" if m == "nalpha" else m for m in measures]
+    for m in measures:
+        if m not in MEASURES:
+            raise ValueError(f"unknown measure {m!r}")
+    return _sweep_cells(g, measures, alphas, tol)
+
+
+def _sweep_cells(g: DirectedGraph, measures: list[str], alphas, tol: float):
+    fixed = {}      # scores of the measures without an alpha, kept from the first alpha on
+    for alpha in alphas:
+        series = functools.cache(functools.partial(alpha_centrality, g, alpha=alpha, tol=tol))
+        scorers = {"pagerank": functools.partial(pagerank, g, alpha=alpha, tol=tol),
+                   "alpha": series,
+                   "normalized_alpha": functools.partial(_normalized_alpha, g, alpha, tol,
+                                                         SPECTRAL_GUARD, "indegree", series),
+                   "eigenvector": functools.partial(eigenvector_centrality, g),
+                   "indegree": functools.partial(degree_centrality, g, "in"),
+                   "outdegree": functools.partial(degree_centrality, g, "out")}
+        for measure in measures:
+            scores = fixed.get(measure)
+            if scores is None:
+                try:
+                    scores = scorers[measure]()
+                except NumericalError as exc:
+                    scores = exc
+                if measure in ("indegree", "outdegree", "eigenvector"):
+                    fixed[measure] = scores
+            yield alpha, measure, scores
 
 
 def rank(scores: CentralityScores) -> Ranking:

@@ -7,21 +7,23 @@ dict); once they succeed, one renderer streams them to stdout or
 digits and fields a fixed order, so identical inputs and seed produce
 byte-identical files. Exit codes: 0 success, 2 usage error (including a
 non-finite grid value or a range of more than _MAX_GRID_POINTS points), 3
-input format error (including an --output path that cannot be written), 4
-numerical failure (including a simulate step that overflows).
+input format error (including an --output or stdout that cannot be written;
+a closed stdout pipe exits quietly), 4 numerical failure (including a
+simulate step that overflows); an alpha sweep exits at its first failing alpha.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from .centrality import (alpha_centrality, degree_centrality, eigenvector_centrality,
-                         normalized_alpha_centrality, pagerank, rank)
+from .centrality import rank, sweep
 from .dynamics import (CONSERVATIVE, NONCONSERVATIVE, ProcessConfig, SisConfig,
                        conservative_step, nonconservative_step, sis_step,
                        threshold_sweep)
@@ -109,6 +111,19 @@ def _write_output(path: str, report, fmt: str) -> None:
         raise InputFormatError(str(exc)) from exc
 
 
+def _write_stdout(report, fmt: str) -> None:
+    try:
+        _render(sys.stdout, report, fmt)
+        sys.stdout.flush()
+    except OSError as exc:
+        # rows still buffered would fail again when the interpreter exits: send them to devnull
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise InputFormatError(str(exc), path="<stdout>") from exc
+
+
 def _parse_grid(spec: str, name: str, parser: argparse.ArgumentParser) -> list[float]:
     # "lo:hi:step" (inclusive) or a comma-separated list of values, all finite
     try:
@@ -158,18 +173,6 @@ def _cmd_spectral(args, g, parser) -> dict:
     return report
 
 
-def _centrality_scores(g, measure: str, alpha: float | None):
-    if measure == "pagerank":
-        return pagerank(g, alpha=alpha)
-    if measure == "alpha":
-        return alpha_centrality(g, alpha=alpha)
-    if measure == "nalpha":
-        return normalized_alpha_centrality(g, alpha=alpha)
-    if measure == "eigenvector":
-        return eigenvector_centrality(g)
-    return degree_centrality(g, "in")
-
-
 def _cmd_centrality(args, g, parser) -> _Table:
     needs_alpha = args.measure in ("pagerank", "alpha", "nalpha")
     if args.alpha_sweep and not needs_alpha:
@@ -184,12 +187,15 @@ def _cmd_centrality(args, g, parser) -> _Table:
         alphas = [0.85]
     else:
         parser.error(f"--alpha is required for {args.measure}")
-    blocks = [_centrality_scores(g, args.measure, alpha) for alpha in alphas]
     n = g.node_count
+    scores, ranks = np.empty((len(alphas), n)), np.empty((len(alphas), n), dtype=np.int64)
+    for i, (_, _, cell) in enumerate(sweep(g, [args.measure], alphas)):
+        if isinstance(cell, NumericalError):
+            raise cell
+        scores[i], ranks[i] = cell.values, rank(cell).ranks
     table = _Table(alpha=np.repeat(alphas, n)) if args.alpha_sweep else _Table()
-    table.update(node=np.tile(np.arange(n), len(alphas)),
-                 score=np.concatenate([s.values for s in blocks]),
-                 rank=np.concatenate([rank(s).ranks for s in blocks]))
+    table.update(node=np.tile(np.arange(n), len(alphas)), score=scores.ravel(),
+                 rank=ranks.ravel())
     return table
 
 
@@ -242,14 +248,14 @@ def _cmd_threshold(args, g, parser) -> _Table:
 
 
 def _cmd_influence(args, g, parser) -> _Table:
-    log = read_event_log(args.events, args.mode)
+    as_read = log = read_event_log(args.events, args.mode)
     if args.entropy_filter is not None:
         log = log.restrict(spam_filter(log, args.entropy_filter))
     if args.kind == "local":
         estimates = local_influence(log, g, window=args.window, min_items=args.min_items,
                                     min_rebroadcasts=args.min_rebroadcasts)
         if args.screen:
-            n_active = args.active_users if args.active_users is not None else int(log.user_ids().size)
+            n_active = args.active_users if args.active_users is not None else int(as_read.user_ids().size)
             estimates = significance_screen(estimates, g, N=n_active, n=args.window,
                                             p_cut=args.p_cut)
     else:
@@ -292,7 +298,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--graph", required=True, help="edge-list TSV (src<TAB>dst, '#' comments)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default=None, help="write here instead of stdout")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed for simulation commands")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True, metavar="LO:HI:STEP",
                     help="transmissibility grid (or comma-separated values)")
     sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed of the cascade trials")
 
     sp = sub.add_parser("influence", help="per-submitter empirical influence from an event log")
     _add_common(sp)
@@ -384,6 +390,10 @@ def main(argv=None) -> int:
         report = _HANDLERS[args.command](args, g, parser)
         if args.output:
             _write_output(args.output, report, args.format)
+        else:
+            _write_stdout(report, args.format)
+    except BrokenPipeError:
+        return 3    # stdout's reader has gone, as under `| head`: stop without a word
     except (InputFormatError, ValueError) as exc:
         # data-dependent domain violations (ValueError) surface as input problems
         print(f"flowrank: input error: {exc}", file=sys.stderr)
@@ -391,8 +401,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"flowrank: numerical error: {exc}", file=sys.stderr)
         return 4
-    if not args.output:
-        _render(sys.stdout, report, args.format)
     return 0
 
 

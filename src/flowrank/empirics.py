@@ -15,14 +15,13 @@ out-neighbors. User ids in logs are graph node ids.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from . import centrality as _centrality
+from .centrality import sweep
 from .dynamics import cascade_rounds
 from .errors import InputFormatError, NumericalError
 from .graph import DirectedGraph, _line_blocks
@@ -31,7 +30,6 @@ from .rng import SLOT_EDGE_BASE, stream_value, trial_base, unit_float
 MODES = ("digg", "twitter")
 EVENT_LOG_HEADER = ("item_id", "user_id", "timestamp", "kind")
 
-_MEASURE_ALIASES = {"nalpha": "normalized_alpha"}
 _HEADER_LINE = ",".join(EVENT_LOG_HEADER).encode()
 _ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _INT64_MAX = 2**63 - 1
@@ -83,11 +81,13 @@ class EventLog:
 
     def user_ids(self) -> np.ndarray:
         """Distinct user ids appearing anywhere in the log, ascending."""
+        return np.unique(self._event_users())
+
+    def _event_users(self) -> np.ndarray:
+        # every event's user id, submitters first, unsorted and with repeats
         parts = [np.asarray([it.submitter for it in self._items.values()], dtype=np.int64)]
         parts.extend(it.rebroadcast_users for it in self._items.values())
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        return np.concatenate(parts)
 
     def restrict(self, item_ids) -> "EventLog":
         """Sub-log with only the given items, in original log order."""
@@ -375,7 +375,7 @@ def local_influence(log: EventLog, g: DirectedGraph, window: int = 100,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    _check_users(log.user_ids(), g)
+    _check_users(log._event_users(), g)
     estimates: dict[int, InfluenceEstimate] = {}
     groups = _qualifying_by_submitter(log, min_rebroadcasts)
     for user in sorted(groups):
@@ -408,7 +408,7 @@ def extract_cascade(log: EventLog, g: DirectedGraph, item_id: str) -> Cascade:
 def global_influence(log: EventLog, g: DirectedGraph, min_items: int = 2,
                      min_rebroadcasts: int = 0) -> dict[int, InfluenceEstimate]:
     """Mean size of the cascades each submitter's qualifying items trigger."""
-    _check_users(log.user_ids(), g)
+    _check_users(log._event_users(), g)
     estimates: dict[int, InfluenceEstimate] = {}
     groups = _qualifying_by_submitter(log, min_rebroadcasts)
     for user in sorted(groups):
@@ -551,28 +551,6 @@ class CorrelationReport:
     entries: tuple[CorrelationEntry, ...]
 
 
-def _measure_scores(g: DirectedGraph, measure: str, alpha: float, alpha_series) -> np.ndarray:
-    # alpha_series() is this alpha's Alpha-Centrality, computed at most once
-    if measure == "pagerank":
-        return _centrality.pagerank(g, alpha=alpha, tol=1e-12).values
-    if measure == "alpha":
-        return alpha_series().values
-    if measure == "normalized_alpha":
-        # below the guard band the normalized variant is the same series over
-        # its L1 norm; elsewhere it keeps its own checks and eigenvector branch
-        if 0.0 <= alpha <= 1.0 and _centrality._below_guard_band(
-                g, alpha, _centrality.SPECTRAL_GUARD):
-            return _centrality._l1_normalized(alpha_series().values)
-        return _centrality.normalized_alpha_centrality(g, alpha=alpha, tol=1e-12).values
-    if measure == "eigenvector":
-        return _centrality.eigenvector_centrality(g).values
-    if measure == "indegree":
-        return _centrality.degree_centrality(g, "in").values
-    if measure == "outdegree":
-        return _centrality.degree_centrality(g, "out").values
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
                       influence_kind: str, *, window: int = 100, min_items: int = 2,
                       min_rebroadcasts: int = 100, p_cut: float = 0.05,
@@ -591,19 +569,16 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
     """
     if influence_kind not in ("local", "global"):
         raise ValueError("influence_kind must be 'local' or 'global'")
-    measures = [_MEASURE_ALIASES.get(m, m) for m in measures]
-    for m in measures:
-        if m not in _centrality.MEASURES:
-            raise ValueError(f"unknown measure {m!r}")
     alpha_grid = tuple(float(a) for a in alpha_grid)
+    cells = sweep(g, measures, alpha_grid, tol=1e-12)
 
-    if active_users is None:
-        active_users = int(log.user_ids().size)
     flog = log.restrict(spam_filter(log, entropy_threshold)) if apply_spam_filter else log
     if influence_kind == "local":
         estimates = local_influence(flog, g, window=window, min_items=min_items,
                                     min_rebroadcasts=min_rebroadcasts)
         if apply_significance:
+            if active_users is None:
+                active_users = int(log.user_ids().size)
             estimates = significance_screen(estimates, g, N=active_users, n=window,
                                             p_cut=p_cut)
         values_of = {u: e.local for u, e in estimates.items()}
@@ -621,20 +596,13 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
         raise NumericalError("degenerate cohort")
 
     entries = []
-    for alpha in alpha_grid:
-        alpha_series = functools.cache(
-            functools.partial(_centrality.alpha_centrality, g, alpha=alpha, tol=1e-12))
-        for measure in measures:
-            try:
-                scores = _measure_scores(g, measure, alpha, alpha_series)[cohort_idx]
-            except NumericalError:
-                continue
-            if np.ptp(scores) == 0.0:
-                continue
-            r = pearson_correlation(scores, influence)
-            entries.append(CorrelationEntry(alpha=alpha, measure=measure,
-                                            influence_kind=influence_kind,
-                                            pearson_r=r, cohort_size=len(cohort)))
+    for alpha, measure, scores in cells:
+        if isinstance(scores, NumericalError) or np.ptp(scores.values[cohort_idx]) == 0.0:
+            continue
+        r = pearson_correlation(scores.values[cohort_idx], influence)
+        entries.append(CorrelationEntry(alpha=alpha, measure=measure,
+                                        influence_kind=influence_kind,
+                                        pearson_r=r, cohort_size=len(cohort)))
     return CorrelationReport(alpha_grid=alpha_grid, influence_kind=influence_kind,
                              cohort_users=tuple(cohort), entries=tuple(entries))
 

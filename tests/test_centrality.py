@@ -1,4 +1,6 @@
 """Centrality measures against dense solves and their process equivalents."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -23,7 +25,7 @@ from flowrank import (
     rank,
     spectral_radius,
 )
-from flowrank.centrality import SPECTRAL_GUARD
+from flowrank.centrality import SPECTRAL_GUARD, sweep
 
 from oracles import (
     dense_adjacency,
@@ -281,3 +283,79 @@ def test_normalized_alpha_validates_alpha():
     g = build_graph(edges_ring(3))
     with pytest.raises(ValueError):
         normalized_alpha_centrality(g, alpha=-0.1)
+
+
+# ------------------------------------------------------------------ alpha grid
+
+_PUBLIC = {
+    "normalized_alpha": lambda g, a, tol: normalized_alpha_centrality(g, alpha=a, tol=tol),
+    "pagerank": lambda g, a, tol: pagerank(g, alpha=a, tol=tol),
+    "alpha": lambda g, a, tol: alpha_centrality(g, alpha=a, tol=tol),
+    "eigenvector": lambda g, a, tol: eigenvector_centrality(g),
+    "indegree": lambda g, a, tol: degree_centrality(g, "in"),
+    "outdegree": lambda g, a, tol: degree_centrality(g, "out"),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_sweep_matches_the_public_functions_cell_by_cell(tol):
+    g = build_graph(random_sc_edges(40, 160, seed=3))
+    lam = spectral_radius(g)
+    assert lam > 1.0    # so the guard band and the eigenvector side lie below alpha = 1
+    alphas = [0.0, 0.5 / lam, (1.0 - 0.5 * SPECTRAL_GUARD) / lam,
+              (1.0 + 0.5 * SPECTRAL_GUARD) / lam, 1.5 / lam, 1.0, 1.5]
+    measures = ["nalpha", "pagerank", "alpha", "eigenvector", "indegree", "outdegree"]
+    seen = []
+    cells = sweep(g, measures, alphas, tol=tol)
+    # pagerank rejects alpha = 1: the ValueError comes at that alpha, after nalpha's cell
+    with pytest.raises(ValueError, match="pagerank requires alpha"):
+        for alpha, measure, scores in cells:
+            seen.append((alpha, measure))
+            try:
+                want = _PUBLIC[measure](g, alpha, tol)
+            except NumericalError as exc:
+                assert isinstance(scores, NumericalError), (alpha, measure)
+                assert str(scores) == str(exc)
+                continue
+            assert (scores.measure, scores.alpha) == (want.measure, want.alpha)
+            assert scores.starting_vector == want.starting_vector
+            assert np.array_equal(scores.values, want.values), (alpha, measure)
+    names = ["normalized_alpha", *measures[1:]]
+    assert seen == [(a, m) for a in alphas[:5] for m in names] + [(1.0, "normalized_alpha")]
+    undefined = {(a, m) for a, m, s in sweep(g, measures, alphas[:5], tol=tol)
+                 if isinstance(s, NumericalError)}
+    assert undefined == {(alphas[2], "normalized_alpha"), (alphas[3], "normalized_alpha")} | {
+        (a, "alpha") for a in alphas[2:5]}
+
+
+def test_sweep_raises_a_value_error_at_its_alpha():
+    g = build_graph(random_sc_edges(40, 160, seed=3))
+    cells = sweep(g, ["alpha", "nalpha"], [0.5 / spectral_radius(g), 1.5])
+    assert [m for _, m, _ in itertools.islice(cells, 3)] == ["alpha", "normalized_alpha",
+                                                             "alpha"]
+    with pytest.raises(ValueError, match="normalized alpha centrality requires"):
+        next(cells)
+
+
+def test_sweep_rejects_an_unknown_measure_before_any_work(monkeypatch):
+    from flowrank import centrality
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("scored before the measures were checked")
+    monkeypatch.setattr(centrality, "pagerank", unexpected)
+    with pytest.raises(ValueError, match="unknown measure 'closeness'"):
+        sweep(build_graph(edges_ring(3)), ["pagerank", "closeness"], [0.5])
+
+
+def test_sweep_scores_measures_without_alpha_once_per_grid(monkeypatch):
+    from flowrank import centrality
+    calls = []
+    for name in ("eigenvector_centrality", "degree_centrality"):
+        fn = getattr(centrality, name)
+        monkeypatch.setattr(centrality, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    g = build_graph(random_sc_edges(20, 60, seed=1))
+    cells = list(sweep(g, ["eigenvector", "indegree", "outdegree"], [0.1, 0.2, 0.3]))
+    assert len(cells) == 9
+    assert sorted(calls) == ["degree_centrality"] * 2 + ["eigenvector_centrality"]
+    assert all(s is cells[i % 3][2] for i, (_, _, s) in enumerate(cells))

@@ -1,17 +1,22 @@
 """End-to-end CLI behavior: outputs, determinism, and exit codes."""
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowrank import build_graph, cli, from_records, graph, write_event_log
+from flowrank import (build_graph, cli, from_records, graph, hypergeometric_pmf,
+                      load_edge_list, spectral_radius, write_event_log)
 from flowrank.graph import MAX_NODES
 
 from oracles import edges_chain, edges_ring, random_sc_edges
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, expect=0):
@@ -148,6 +153,28 @@ def test_influence_local_output(event_log):
     user, n_items, val, p = lines[1].split(",")
     assert (user, n_items, p) == ("0", "2", "")  # p empty without --screen
     assert float(val) == 4.5  # 4 then 5 follower rebroadcasts
+
+
+def test_influence_screen_counts_the_users_of_the_log_as_read(tmp_path):
+    # the robotic item s (one gap, so no interval entropy) is the only one holding
+    # users 9, 20 and 21: N counts them even though --entropy-filter drops s
+    gp = tmp_path / "g.tsv"
+    gp.write_text("".join(f"{a}\t{b}\n" for a, b in
+                          [(1, 0), (2, 0), (3, 0), (10, 11), (11, 10), (20, 9), (21, 9)]))
+    recs = []
+    for item, t0 in (("a", 0), ("b", 10_000)):
+        recs.append((item, 0, t0, "submit"))
+        recs += [(item, u, t0 + dt, "rebroadcast")
+                 for u, dt in ((1, 1), (10, 11), (2, 111), (11, 1111))]
+    recs += [("s", 9, 20_000, "submit"), ("s", 20, 20_001, "rebroadcast"),
+             ("s", 21, 20_002, "rebroadcast")]
+    ev = tmp_path / "events.csv"
+    write_event_log(from_records(recs), ev)
+    out = run_cli("influence", "--graph", gp, "--events", ev, "--window", "4", "--screen",
+                  "--p-cut", "1", "--entropy-filter", "0.5")
+    rows = [line.split(",") for line in out.stdout.strip().splitlines()[1:]]
+    # 8 users as read (0, 1, 2, 9, 10, 11, 20, 21); 5 are left after the filter
+    assert rows == [["0", "2", "2", f"{hypergeometric_pmf(2, 3, 8, 4):.12g}"]]
 
 
 def test_influence_screen_appends_pvalue(event_log):
@@ -328,6 +355,57 @@ def test_exit_3_when_the_graph_does_not_fit_in_memory(tmp_path, monkeypatch, cap
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("flowrank: input error: ")
     assert f"huge.tsv: not enough memory for a graph of {MAX_NODES} nodes" in lines[0]
+
+
+@pytest.mark.parametrize("first, code", [("singular", 4), ("above one", 3)])
+def test_the_first_failing_alpha_of_a_sweep_decides_the_exit_code(first, code):
+    # nalpha is undefined at 1/lambda1 (exit 4) and rejects alpha > 1 (exit 3)
+    path = DATA / "pipeline_graph.tsv"
+    singular = repr(1.0 / spectral_radius(load_edge_list(path)[0]))
+    grid = [singular, "1.5"] if first == "singular" else ["1.5", singular]
+    out = run_cli("centrality", "--graph", path, "--measure", "nalpha",
+                  "--alpha-sweep", ",".join(grid), expect=code)
+    assert out.stdout == ""
+    assert ("spectral singularity" in out.stderr) == (code == 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["centrality", "--measure", "pagerank"],
+    ["simulate", "--process", "sis", "--steps", "1", "--mu", "0.2", "--beta", "0.3"],
+    ["influence", "--events", "unread.csv"],
+    ["correlate", "--events", "unread.csv", "--measures", "pagerank", "--alpha", "0.1"],
+])
+def test_only_threshold_takes_a_seed(ring_graph, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--graph", str(ring_graph), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _pagerank_into(stdout):
+    return subprocess.run([sys.executable, "-m", "flowrank.cli", "centrality", "--graph",
+                           DATA / "pipeline_graph.tsv", "--measure", "pagerank"],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_a_closed_stdout_pipe_exits_3_without_a_word():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _pagerank_into(write_end)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (3, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_full_stdout_exits_3_with_one_line():
+    with open("/dev/full", "w") as full:
+        out = _pagerank_into(full)
+    assert out.returncode == 3
+    assert out.stderr == "flowrank: input error: <stdout>: [Errno 28] No space left on device\n"
 
 
 def test_exit_4_on_numerical_failures(ring_graph, tmp_path):

@@ -5,8 +5,11 @@ argparse exits with 2. A failed run writes nothing to stdout, puts one
 `flowrank` line on stderr and leaves no --output file. With the
 committed fixtures unchanged and an output path that can be written, an
 input error (exit 3) would be a program fault, so it fails the test.
+A stdout that fails on some write exits 3 too: with that one line, or
+with none when its reader has gone.
 """
 import contextlib
+import errno
 import io
 import re
 import tempfile
@@ -127,3 +130,51 @@ def test_every_failure_reaches_its_exit_code_and_writes_nothing(invocation):
             assert not (tmp / output).is_file(), argv
         if pristine and output in (None, "out.txt"):
             assert code != 3, (argv, stderr.getvalue())
+
+
+class _FailingSink(io.StringIO):
+    """A stdout whose n-th write raises `error` (and so does every later one)."""
+
+    def __init__(self, n: int, error: OSError):
+        super().__init__()
+        self.n, self.error, self.writes = n, error, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes >= self.n:
+            raise self.error
+        return super().write(text)
+
+
+@hst.composite
+def _stdout_runs(draw):
+    command = draw(hst.sampled_from(sorted(_COMMANDS)))
+    flags = [arg for part in _COMMANDS[command] for arg in draw(part)]
+    fmt = draw(hst.sampled_from(["csv", "json"]))
+    n = draw(hst.integers(1, 3))
+    broken = draw(hst.booleans())
+    return command, flags, fmt, n, broken
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stdout_runs())
+def test_a_failing_stdout_exits_3(run):
+    command, flags, fmt, n, broken = run
+    error = (BrokenPipeError(errno.EPIPE, "Broken pipe") if broken
+             else OSError(errno.ENOSPC, "No space left on device"))
+    argv = [command, "--graph", str(DATA / "pipeline_graph.tsv"), "--format", fmt, *flags]
+    if command in ("influence", "correlate"):
+        argv += ["--events", str(DATA / "pipeline_events.csv")]
+    sink, stderr = _FailingSink(n, error), io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if sink.writes < n:
+        # the run ended before the failing write: a usage or numerical error, or success
+        assert "<stdout>" not in stderr.getvalue(), argv
+        return
+    assert code == 3, argv
+    expected = "" if broken else "flowrank: input error: <stdout>: [Errno 28] No space left on device\n"
+    assert stderr.getvalue() == expected, argv

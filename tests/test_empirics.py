@@ -166,6 +166,21 @@ def test_local_influence_rejects_unknown_users():
         local_influence(log, g)
 
 
+def test_unknown_users_are_named_once_each_in_ascending_order():
+    g = build_graph(edges_ring(3))
+    # 9 rebroadcasts one item and submits another
+    log = from_records([_submit("a", 0, 0), _rb("a", 9, 1), _submit("b", 9, 5),
+                        _rb("b", 1, 6), _submit("c", 2, 9)])
+    for estimator in (local_influence, global_influence):
+        with pytest.raises(ValueError, match=r"^unknown user ids in log: 9$"):
+            estimator(log, g)
+    many = from_records([_submit("a", 0, 0)] + [_rb("a", u, 200 - u) for u in range(111, 99, -1)])
+    shown = ", ".join(map(str, range(100, 110)))
+    for estimator in (local_influence, global_influence):
+        with pytest.raises(ValueError, match=rf"^unknown user ids in log: {shown} \(\+2 more\)$"):
+            estimator(many, g)
+
+
 # -------------------------------------------------------------------- cascades
 
 def _parent_edges(cascade, g):
@@ -497,19 +512,42 @@ def test_correlation_sweep_computes_each_alpha_series_once(monkeypatch):
     from flowrank import centrality, spectral_radius
     calls = []
     fn = centrality.alpha_centrality
+    eigen = centrality.eigenvector_centrality
 
     def counted(g, *args, **kwargs):
         calls.append(kwargs.get("alpha"))
         return fn(g, *args, **kwargs)
 
+    def counted_eigen(g, *args, **kwargs):
+        calls.append("eigenvector")
+        return eigen(g, *args, **kwargs)
+
     monkeypatch.setattr(centrality, "alpha_centrality", counted)
+    monkeypatch.setattr(centrality, "eigenvector_centrality", counted_eigen)
     g, log = _sweep_fixture()
     lam = spectral_radius(g)
     grid = [0.2 / lam, 0.5 / lam, 0.8 / lam]
-    report = correlation_sweep(g, log, ["nalpha", "alpha", "pagerank"], grid, "global",
-                               min_rebroadcasts=0, apply_spam_filter=False)
-    assert len(report.entries) == 9
-    assert calls == grid
+    report = correlation_sweep(g, log, ["nalpha", "alpha", "eigenvector", "pagerank"], grid,
+                               "global", min_rebroadcasts=0, apply_spam_filter=False)
+    assert len(report.entries) == 12
+    # the measure without an alpha is scored once per grid, at its first alpha
+    assert calls == [grid[0], "eigenvector", *grid[1:]]
+
+
+def test_correlation_sweep_counts_active_users_only_for_the_screen(monkeypatch):
+    counted = []
+    user_ids = EventLog.user_ids
+    monkeypatch.setattr(EventLog, "user_ids", lambda log: counted.append(log) or user_ids(log))
+    g, log = _sweep_fixture()
+    kw = dict(min_rebroadcasts=0, window=5, p_cut=1.0)
+    correlation_sweep(g, log, ["indegree"], [0.0], "global", **kw)
+    correlation_sweep(g, log, ["indegree"], [0.0], "local", apply_significance=False, **kw)
+    correlation_sweep(g, log, ["indegree"], [0.0], "local", active_users=60, **kw)
+    assert counted == []
+    # the spam filter drops items here; the screen still counts the log as read
+    assert len(spam_filter(log)) < len(log)
+    correlation_sweep(g, log, ["indegree"], [0.0], "local", **kw)
+    assert counted == [log]
 
 
 def test_correlation_sweep_degenerate_cohort():
