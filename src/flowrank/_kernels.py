@@ -7,8 +7,10 @@ the open edges, and BFS depth over them equals the round-by-round join
 time. At one transmissibility it returns each node's join round (-1
 never, 0 seed). Over a nondecreasing grid it returns the index of the
 first grid point at which each node joins (-1 never), from a single
-traversal that carries the reached set up the grid and draws each edge's
-coin at most once.
+traversal up the grid: each edge's coin is drawn at most once, never for
+an edge into a node that has joined, and an edge that stays closed is
+filed once under the grid point that opens it, whose rounds start from
+that bucket.
 
 replay_joins replays an item's rebroadcasts over the follower graph in
 frontier-at-a-time passes and returns the event positions at which
@@ -44,6 +46,24 @@ def _segment_edges(starts, counts, total):
     return np.repeat(starts - prev, counts) + np.arange(total)
 
 
+def _distinct(h, slot):
+    # one copy of each node in h, in no particular order; slot is an n-long
+    # work array whose entries at h are written before they are read
+    at = np.arange(h.size)
+    slot[h] = at
+    return h[slot[h] == at]
+
+
+def _file_closed(filed, grid, to, coin):
+    # file each target under the first grid point whose p exceeds its coin
+    j = np.searchsorted(grid, coin, side="right")
+    order = np.argsort(j)
+    j, to = j[order], to[order]
+    cut = np.flatnonzero(j[1:] != j[:-1]) + 1
+    for point, targets in zip(j[np.r_[0, cut]].tolist(), np.split(to, cut)):
+        filed.setdefault(point, []).append(targets)
+
+
 def ic_spread(out_indptr, out_indices, seeds, p, base):
     """When each node joins the cascade over the edges whose coin falls below p.
 
@@ -52,35 +72,37 @@ def ic_spread(out_indptr, out_indices, seeds, p, base):
     at which each node joins (-1 never); the seeds join at point 0.
 
     Both modes run one traversal, the scalar mode as a one-point grid. At
-    point k, synchronous rounds follow the edges with coin < p[k], and
-    every closed edge is kept as its target and coin until the last point.
-    Before the rounds of a later point k, the kept edges into nodes that
-    have joined are dropped, those with coin < p[k] open, and their new
-    targets seed the rounds. So each edge's coin is drawn at most once,
-    and the set reached at p[k] is the closure over the edges with
+    point k, synchronous rounds follow the edges with coin < p[k]. A round
+    draws coins only for the edges into nodes that have not joined, since
+    a coin is a pure function of its edge index and a skipped one changes
+    nothing. An edge that stays closed is filed once, as its target, under
+    the first grid point whose p exceeds its coin, and dropped if no point
+    does. The rounds of a later point start from its own bucket, less the
+    nodes that have joined since. So each edge's coin is drawn at most
+    once, and the set reached at p[k] is the closure over the edges with
     coin < p[k], which is what a traversal at p[k] alone reaches.
+    Frontiers are deduplicated through an n-slot marker, not by sorting.
     """
     grid = np.asarray(p, dtype=np.float64)
     scalar = grid.ndim == 0
     grid = grid.reshape(-1)
-    last = grid.size - 1
+    top = grid[-1] if grid.size else 0.0    # no coin at or above it ever opens
     n = out_indptr.shape[0] - 1
     joined = np.full(n, -1, np.int64)
+    waiting = np.ones(n, bool)    # joined < 0, but a bool gathers about 3x faster
+    slot = np.empty(n, np.int64)
     base = np.uint64(base)
-    closed_to, closed_coin = [out_indices[:0]], [np.empty(0)]
+    filed = {}
+    frontier = _distinct(np.asarray(seeds), slot)
     for k, pk in enumerate(grid):
-        if k == 0:
-            frontier = np.unique(seeds)
-        else:
-            to = np.concatenate(closed_to)
-            coin = np.concatenate(closed_coin)
-            keep = joined[to] < 0
-            to, coin = to[keep], coin[keep]
-            opened = coin < pk
-            frontier = np.unique(to[opened])
-            closed = ~opened
-            closed_to, closed_coin = [to[closed]], [coin[closed]]
+        if k:
+            bucket = filed.pop(k, None)
+            if bucket is None:
+                continue
+            to = np.concatenate(bucket)
+            frontier = _distinct(to[waiting[to]], slot)
         joined[frontier] = k
+        waiting[frontier] = False
         r = 0
         while frontier.size:
             r += 1
@@ -90,17 +112,18 @@ def ic_spread(out_indptr, out_indices, seeds, p, base):
             if total == 0:
                 break
             edge_idx = _segment_edges(starts, counts, total)
-            coin = unit_floats(mix64_array(base + (edge_idx.astype(np.uint64) + _TWO) * _G))
             to = out_indices[edge_idx]
+            # positions, not a mask: taking two arrays at them beats two masked copies
+            fresh = np.flatnonzero(waiting[to])
+            edge_idx, to = edge_idx[fresh], to[fresh]
+            coin = unit_floats(mix64_array(base + (edge_idx.astype(np.uint64) + _TWO) * _G))
             opened = coin < pk
-            if k < last:
-                closed = ~opened
-                closed_to.append(to[closed])
-                closed_coin.append(coin[closed])
-            hit = to[opened]
-            hit = hit[joined[hit] < 0]
-            frontier = np.unique(hit)
+            later = np.flatnonzero(~opened & (coin < top))
+            if later.size:
+                _file_closed(filed, grid, to[later], coin[later])
+            frontier = _distinct(to[opened], slot)
             joined[frontier] = r if scalar else k
+            waiting[frontier] = False
     return joined
 
 

@@ -6,10 +6,11 @@ dict); once they succeed, one renderer streams them to stdout or
 --output as CSV or sorted-key JSON rows. Floats keep 12 significant
 digits and fields a fixed order, so identical inputs and seed produce
 byte-identical files. Exit codes: 0 success, 2 usage error (including a
-non-finite grid value or a range of more than _MAX_GRID_POINTS points), 3
-input format error (including an --output or stdout that cannot be written;
-a closed stdout pipe exits quietly), 4 numerical failure (including a
-simulate step that overflows); an alpha sweep exits at its first failing alpha.
+non-finite grid value, a range of more than _MAX_GRID_POINTS points, or
+more threshold --trials than fit in memory), 3 input format error
+(including an --output or stdout that cannot be written; a closed stdout
+pipe exits quietly), 4 numerical failure (including a simulate step that
+overflows); an alpha sweep exits at its first failing alpha.
 """
 from __future__ import annotations
 
@@ -241,7 +242,13 @@ def _cmd_threshold(args, g, parser) -> _Table:
         parser.error("--grid values must lie in [0, 1]")
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    stats = threshold_sweep(g, grid, args.trials, args.seed)
+    try:
+        stats = threshold_sweep(g, grid, args.trials, args.seed)
+    except MemoryError:
+        # the sweep's one allocation that grows with --trials is its
+        # outcome table, made before any cascade runs
+        parser.error(f"--trials {args.trials} needs a {len(grid)} x {args.trials} outcome table, "
+                     "which does not fit in memory")
     return _Table(transmissibility=[s.transmissibility for s in stats],
                   mean_fraction=[s.mean_outbreak_fraction for s in stats],
                   stderr=[s.stderr for s in stats])

@@ -6,9 +6,12 @@ routes is meaningful.
 """
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from flowrank import DanglingPolicy
+from flowrank.rng import SLOT_EDGE_BASE, stream_value, unit_float
 
 
 def edges_chain(n: int) -> list[tuple[int, int]]:
@@ -128,3 +131,28 @@ def sequential_cascade(edges, submitter: int, users) -> tuple[list[int], set[tup
             order.append(user)
             parents.update((p, user) for p in found)
     return order, parents
+
+
+def cascade_bfs_depths(out_indptr, out_indices, seeds, p: float, base: int) -> list[int]:
+    """Hops from the seeds to each node over the open edges (-1 never reached).
+
+    Out-edge k (CSR position) is open when its coin
+    unit_float(stream_value(base, 2 + k)), the package's scalar reference
+    stream, is below p. A plain breadth-first search, one edge at a time.
+    """
+    indptr = [int(x) for x in out_indptr]
+    indices = [int(x) for x in out_indices]
+    depth = [-1] * (len(indptr) - 1)
+    queue = deque()
+    for s in map(int, seeds):
+        if depth[s] < 0:
+            depth[s] = 0
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            if depth[v] < 0 and unit_float(stream_value(base, SLOT_EDGE_BASE + k)) < p:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return depth

@@ -262,6 +262,19 @@ def test_exit_2_on_grid_with_too_many_points(ring_graph, capsys, monkeypatch):
         f"flowrank: error: --grid has 1000000000 points; at most {cli._MAX_GRID_POINTS} are allowed")
 
 
+def test_exit_2_when_the_trials_do_not_fit_in_memory(capsys):
+    # a 1 x 1e12 float table cannot be allocated, so the request fails before any cascade
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["threshold", "--graph", str(DATA / "threshold_graph.tsv"), "--grid", "0.1",
+                  "--trials", "1000000000000"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    flowrank_lines = [line for line in out.err.splitlines() if line.startswith("flowrank:")]
+    assert flowrank_lines == ["flowrank: error: --trials 1000000000000 needs a 1 x 1000000000000 "
+                              "outcome table, which does not fit in memory"]
+
+
 def test_grid_point_limit_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
     parser = cli.build_parser()

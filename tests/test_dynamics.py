@@ -25,9 +25,10 @@ from flowrank import (
     threshold_sweep,
 )
 from flowrank import _kernels
-from flowrank.rng import SLOT_SEED_NODE, stream_value, trial_base, unit_float
+from flowrank.rng import SLOT_EDGE_BASE, SLOT_SEED_NODE, stream_value, trial_base, unit_float
 
 from oracles import (
+    cascade_bfs_depths,
     conservative_fixed_point,
     dense_adjacency,
     dense_replication,
@@ -350,6 +351,72 @@ def test_grid_levels_match_scalar_rounds(g, picks, grid, trial):
     for k, pk in enumerate(p):
         rounds = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, float(pk), base)
         assert np.array_equal((level >= 0) & (level <= k), rounds >= 0)
+
+
+# DIAMOND's edge coins in trial 0 of seed 5; 0 -> 1 is node 1's only in-edge
+DIAMOND_COINS = [unit_float(stream_value(trial_base(5, 0), SLOT_EDGE_BASE + k))
+                 for k in range(DIAMOND.edge_count)]
+COIN_0_TO_1 = DIAMOND_COINS[int(np.flatnonzero(DIAMOND.out_indices[:DIAMOND.out_indptr[1]] == 1)[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(), picks=hst.lists(hst.integers(0, 99), min_size=1, max_size=3),
+       grid=GRID, trial=hst.integers(0, 40))
+@example(g=DIAMOND, picks=[0], grid=DIAMOND_COINS, trial=0)
+# at its exact coin the edge stays closed, twice; it opens at the next point
+@example(g=DIAMOND, picks=[0], grid=[COIN_0_TO_1, COIN_0_TO_1, 1.0], trial=0)
+def test_ic_spread_matches_a_breadth_first_oracle_in_both_modes(g, picks, grid, trial):
+    seeds = np.unique(np.asarray(picks) % g.node_count)
+    p = np.sort(np.asarray(grid, dtype=np.float64))
+    base_int = trial_base(5, trial)
+    base = np.uint64(base_int)
+    reached = []
+    for pk in p:
+        depth = cascade_bfs_depths(g.out_indptr, g.out_indices, seeds, float(pk), base_int)
+        # scalar rounds are breadth-first depths over the open edges
+        rounds = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, float(pk), base)
+        assert rounds.tolist() == depth
+        reached.append([d >= 0 for d in depth])
+    # a node's grid level is the first point whose closure holds it
+    first = [next((k for k, r in enumerate(reached) if r[v]), -1) for v in range(g.node_count)]
+    level = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, p, base)
+    assert level.tolist() == first
+
+
+def _sweep_trial_counts(g, grid, trials, rng_seed):
+    """threshold_sweep's rows, and the stream base and nodes reached at each sorted grid
+    point of every trial, as its ic_spread calls return them."""
+    calls = []
+    real = _kernels.ic_spread
+
+    def spy(out_indptr, out_indices, seeds, p, base):
+        level = real(out_indptr, out_indices, seeds, p, base)
+        counts = np.cumsum(np.bincount(level[level >= 0], minlength=len(p)))
+        calls.append((int(base), counts.tolist()))
+        return level
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "ic_spread", spy)
+        stats = threshold_sweep(g, grid, trials, rng_seed)
+    return stats, calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs(), grid=GRID,
+       trials=hst.lists(hst.integers(1, 8), min_size=2, max_size=2, unique=True),
+       rng_seed=hst.integers(0, 2**32))
+def test_trial_results_do_not_depend_on_the_trial_count(g, grid, trials, rng_seed):
+    t1, t2 = sorted(trials)
+    few_stats, few = _sweep_trial_counts(g, grid, t1, rng_seed)
+    many_stats, many = _sweep_trial_counts(g, grid, t2, rng_seed)
+    assert many[:t1] == few
+    assert [b for b, _ in many] == [trial_base(rng_seed, j) for j in range(t2)]
+    # each row's mean is that of its point's per-trial fractions
+    rank = np.argsort(np.argsort(grid, kind="stable"))
+    for stats, calls in ((few_stats, few), (many_stats, many)):
+        for gi, row in enumerate(stats):
+            counts = np.asarray([c[rank[gi]] for _, c in calls])
+            assert row.mean_outbreak_fraction == (counts / g.node_count).mean()
 
 
 @settings(max_examples=80, deadline=None)
