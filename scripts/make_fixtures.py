@@ -107,8 +107,7 @@ def make_pipeline_fixture() -> dict:
     alpha_grid = [round(f / lam, 6) for f in PIPELINE["alpha_fracs"]]
     report = correlation_sweep(g, log, ["normalized_alpha", "pagerank"],
                                alpha_grid, "global",
-                               min_rebroadcasts=PIPELINE["min_rebroadcasts"],
-                               apply_spam_filter=True)
+                               min_rebroadcasts=PIPELINE["min_rebroadcasts"])
     by_alpha: dict[float, dict[str, float]] = {}
     for e in report.entries:
         by_alpha.setdefault(e.alpha, {})[e.measure] = e.pearson_r

@@ -21,7 +21,7 @@ from .dynamics import (CONSERVATIVE, NONCONSERVATIVE, CascadeRunStats,
 from .empirics import (Cascade, CorrelationReport, EventLog, InfluenceEstimate,
                        activity_entropies, correlation_sweep, extract_cascade,
                        from_records, global_influence, hypergeometric_pmf,
-                       local_influence, pearson_correlation, read_event_log,
+                       influence_cohort, local_influence, pearson_correlation, read_event_log,
                        significance_screen, spam_filter, synthesize_event_log,
                        write_event_log)
 from .errors import (ConvergenceError, FlowrankError, InputFormatError,

@@ -28,8 +28,7 @@ from .centrality import rank, sweep
 from .dynamics import (CONSERVATIVE, NONCONSERVATIVE, ProcessConfig, SisConfig,
                        conservative_step, nonconservative_step, sis_step,
                        threshold_sweep)
-from .empirics import (correlation_sweep, global_influence, local_influence,
-                       read_event_log, significance_screen, spam_filter)
+from .empirics import correlation_sweep, influence_cohort, read_event_log
 from .errors import InputFormatError, NumericalError
 from .graph import DanglingPolicy, indegree_vector, load_edge_list
 from .spectral import is_acyclic, power_iteration
@@ -255,25 +254,17 @@ def _cmd_threshold(args, g, parser) -> _Table:
 
 
 def _cmd_influence(args, g, parser) -> _Table:
-    as_read = log = read_event_log(args.events, args.mode)
-    if args.entropy_filter is not None:
-        log = log.restrict(spam_filter(log, args.entropy_filter))
-    if args.kind == "local":
-        estimates = local_influence(log, g, window=args.window, min_items=args.min_items,
-                                    min_rebroadcasts=args.min_rebroadcasts)
-        if args.screen:
-            n_active = args.active_users if args.active_users is not None else int(as_read.user_ids().size)
-            estimates = significance_screen(estimates, g, N=n_active, n=args.window,
-                                            p_cut=args.p_cut)
-    else:
-        estimates = global_influence(log, g, min_items=args.min_items,
-                                     min_rebroadcasts=args.min_rebroadcasts)
-    users = sorted(estimates)
-    ests = [estimates[user] for user in users]
-    return _Table(user_id=users, n_items=[e.n_items for e in ests],
+    if args.screen and args.kind != "local":
+        parser.error("--screen applies to --kind local only")
+    estimates = influence_cohort(
+        read_event_log(args.events, args.mode), g, args.kind, window=args.window,
+        min_items=args.min_items, min_rebroadcasts=args.min_rebroadcasts,
+        entropy_threshold=args.entropy_filter, p_cut=args.p_cut if args.screen else None,
+        active_users=args.active_users)
+    ests = list(estimates.values())
+    return _Table(user_id=list(estimates), n_items=[e.n_items for e in ests],
                   influence=[e.local if args.kind == "local" else e.global_ for e in ests],
-                  significance_p=([e.significance_p for e in ests]
-                                  if args.kind == "local" and args.screen else None))
+                  significance_p=[e.significance_p for e in ests] if args.screen else None)
 
 
 def _cmd_correlate(args, g, parser) -> dict:
@@ -291,10 +282,9 @@ def _cmd_correlate(args, g, parser) -> dict:
     report = correlation_sweep(
         g, log, measures, grid, args.influence, window=args.window,
         min_items=args.min_items, min_rebroadcasts=args.min_rebroadcasts,
-        p_cut=args.p_cut, entropy_threshold=args.entropy_threshold,
-        active_users=args.active_users,
-        apply_spam_filter=not args.no_spam_filter,
-        apply_significance=not args.no_significance)
+        p_cut=None if args.no_significance else args.p_cut,
+        entropy_threshold=None if args.no_spam_filter else args.entropy_threshold,
+        active_users=args.active_users)
     fields = ("alpha", "measure", "influence_kind", "pearson_r", "cohort_size")
     return {"alpha_grid": report.alpha_grid, "influence_kind": report.influence_kind,
             "cohort_users": report.cohort_users,

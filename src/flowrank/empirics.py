@@ -357,12 +357,17 @@ def _check_users(users: np.ndarray, g: DirectedGraph) -> None:
         raise ValueError(f"unknown user ids in log: {shown}{more}")
 
 
-def _qualifying_by_submitter(log: EventLog, min_rebroadcasts: int) -> dict[int, list[ItemEvents]]:
-    out: dict[int, list[ItemEvents]] = {}
+def _per_submitter(log: EventLog, g: DirectedGraph, min_items: int, min_rebroadcasts: int,
+                   field: str, per_item) -> dict[int, InfluenceEstimate]:
+    # the mean of per_item(item) over each submitter's qualifying items, in ascending user order
+    _check_users(log._event_users(), g)
+    groups: dict[int, list[ItemEvents]] = {}
     for item in log.items():
         if item.rebroadcast_users.size >= min_rebroadcasts:
-            out.setdefault(item.submitter, []).append(item)
-    return out
+            groups.setdefault(item.submitter, []).append(item)
+    return {user: InfluenceEstimate(user_id=user, n_items=len(items),
+                                    **{field: float(np.mean([per_item(it) for it in items]))})
+            for user, items in sorted(groups.items()) if len(items) >= min_items}
 
 
 def local_influence(log: EventLog, g: DirectedGraph, window: int = 100,
@@ -375,19 +380,10 @@ def local_influence(log: EventLog, g: DirectedGraph, window: int = 100,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    _check_users(log._event_users(), g)
-    estimates: dict[int, InfluenceEstimate] = {}
-    groups = _qualifying_by_submitter(log, min_rebroadcasts)
-    for user in sorted(groups):
-        items = groups[user]
-        if len(items) < min_items:
-            continue
-        followers = g.in_neighbors(user)
-        counts = [int(np.isin(item.rebroadcast_users[:window], followers).sum())
-                  for item in items]
-        estimates[user] = InfluenceEstimate(user_id=user, n_items=len(items),
-                                            local=float(np.mean(counts)))
-    return estimates
+    return _per_submitter(
+        log, g, min_items, min_rebroadcasts, "local",
+        lambda item: int(np.isin(item.rebroadcast_users[:window],
+                                 g.in_neighbors(item.submitter)).sum()))
 
 
 def extract_cascade(log: EventLog, g: DirectedGraph, item_id: str) -> Cascade:
@@ -408,17 +404,8 @@ def extract_cascade(log: EventLog, g: DirectedGraph, item_id: str) -> Cascade:
 def global_influence(log: EventLog, g: DirectedGraph, min_items: int = 2,
                      min_rebroadcasts: int = 0) -> dict[int, InfluenceEstimate]:
     """Mean size of the cascades each submitter's qualifying items trigger."""
-    _check_users(log._event_users(), g)
-    estimates: dict[int, InfluenceEstimate] = {}
-    groups = _qualifying_by_submitter(log, min_rebroadcasts)
-    for user in sorted(groups):
-        items = groups[user]
-        if len(items) < min_items:
-            continue
-        sizes = [extract_cascade(log, g, item.item_id).size for item in items]
-        estimates[user] = InfluenceEstimate(user_id=user, n_items=len(items),
-                                            global_=float(np.mean(sizes)))
-    return estimates
+    return _per_submitter(log, g, min_items, min_rebroadcasts, "global_",
+                          lambda item: extract_cascade(log, g, item.item_id).size)
 
 
 def _log_choose(a: int, b: int) -> float:
@@ -515,6 +502,33 @@ def spam_filter(log: EventLog, threshold: float = 3.0) -> list[str]:
     return kept
 
 
+def influence_cohort(log: EventLog, g: DirectedGraph, kind: str, *, window: int = 100,
+                     min_items: int = 2, min_rebroadcasts: int = 0,
+                     entropy_threshold: float | None = None, p_cut: float | None = None,
+                     active_users: int | None = None) -> dict[int, InfluenceEstimate]:
+    """The empirical ranking funnel: spam filter, influence estimate, significance screen.
+
+    Items are kept only when both activity entropies exceed
+    `entropy_threshold` (None: no filter). Submitters then get a local
+    or global estimate, as `kind` names. Local estimates are screened at
+    `p_cut` (None: no screen) against `active_users` users, by default
+    the distinct users of `log` as given, before any item is dropped;
+    global estimates are never screened.
+    """
+    if kind not in ("local", "global"):
+        raise ValueError("influence kind must be 'local' or 'global'")
+    flog = log if entropy_threshold is None else log.restrict(spam_filter(log, entropy_threshold))
+    if kind == "global":
+        return global_influence(flog, g, min_items=min_items, min_rebroadcasts=min_rebroadcasts)
+    estimates = local_influence(flog, g, window=window, min_items=min_items,
+                                min_rebroadcasts=min_rebroadcasts)
+    if p_cut is None:
+        return estimates
+    if active_users is None:
+        active_users = int(log.user_ids().size)
+    return significance_screen(estimates, g, N=active_users, n=window, p_cut=p_cut)
+
+
 def pearson_correlation(x, y) -> float:
     """Sample Pearson r between two equal-length sequences."""
     xv = np.asarray(x, dtype=np.float64)
@@ -553,39 +567,31 @@ class CorrelationReport:
 
 def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
                       influence_kind: str, *, window: int = 100, min_items: int = 2,
-                      min_rebroadcasts: int = 100, p_cut: float = 0.05,
-                      entropy_threshold: float = 3.0, active_users: int | None = None,
-                      apply_spam_filter: bool = True,
-                      apply_significance: bool = True) -> CorrelationReport:
+                      min_rebroadcasts: int = 100, p_cut: float | None = 0.05,
+                      entropy_threshold: float | None = 3.0,
+                      active_users: int | None = None) -> CorrelationReport:
     """Correlate centrality scores with empirical influence over an alpha grid.
 
-    The cohort is built once: spam-filter the items, estimate influence
-    for submitters meeting the item/rebroadcast thresholds, and (for
-    local influence) keep only the statistically significant users. Each
-    (alpha, measure) pair then contributes one Pearson r over the
-    cohort. Pairs where the measure is undefined at that alpha, or where
-    its cohort scores carry no variance, are skipped; zero variance in
-    the influence values themselves is an error.
+    The cohort is built once, by influence_cohort: spam-filter the items
+    (unless entropy_threshold is None), estimate influence for
+    submitters meeting the item/rebroadcast thresholds, and (for local
+    influence, unless p_cut is None) keep only the statistically
+    significant users. Each (alpha, measure) pair then contributes one
+    Pearson r over the cohort. Pairs where the measure is undefined at
+    that alpha, or where its cohort scores carry no variance, are
+    skipped; zero variance in the influence values themselves is an
+    error.
     """
     if influence_kind not in ("local", "global"):
         raise ValueError("influence_kind must be 'local' or 'global'")
     alpha_grid = tuple(float(a) for a in alpha_grid)
     cells = sweep(g, measures, alpha_grid, tol=1e-12)
-
-    flog = log.restrict(spam_filter(log, entropy_threshold)) if apply_spam_filter else log
-    if influence_kind == "local":
-        estimates = local_influence(flog, g, window=window, min_items=min_items,
-                                    min_rebroadcasts=min_rebroadcasts)
-        if apply_significance:
-            if active_users is None:
-                active_users = int(log.user_ids().size)
-            estimates = significance_screen(estimates, g, N=active_users, n=window,
-                                            p_cut=p_cut)
-        values_of = {u: e.local for u, e in estimates.items()}
-    else:
-        estimates = global_influence(flog, g, min_items=min_items,
-                                     min_rebroadcasts=min_rebroadcasts)
-        values_of = {u: e.global_ for u, e in estimates.items()}
+    estimates = influence_cohort(log, g, influence_kind, window=window, min_items=min_items,
+                                 min_rebroadcasts=min_rebroadcasts,
+                                 entropy_threshold=entropy_threshold, p_cut=p_cut,
+                                 active_users=active_users)
+    values_of = {u: e.local if influence_kind == "local" else e.global_
+                 for u, e in estimates.items()}
 
     cohort = sorted(values_of)
     if len(cohort) < 3:

@@ -382,6 +382,33 @@ def test_the_first_failing_alpha_of_a_sweep_decides_the_exit_code(first, code):
     assert ("spectral singularity" in out.stderr) == (code == 4)
 
 
+def test_screen_of_global_influence_is_a_usage_error(event_log, capsys):
+    gp, ev = event_log
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["influence", "--graph", str(gp), "--events", str(ev), "--kind", "global",
+                  "--screen"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines() if line.startswith("flowrank")] == [
+        "flowrank: error: --screen applies to --kind local only"]
+
+
+def test_influence_and_correlate_agree_on_the_cohort(capsys):
+    # correlate's default funnel is influence's --screen --entropy-filter 3.0
+    common = ["--graph", str(DATA / "pipeline_graph.tsv"),
+              "--events", str(DATA / "pipeline_events.csv"), "--min-rebroadcasts", "5",
+              "--p-cut", "0.3"]
+    assert cli.main(["correlate", *common, "--influence", "local", "--measures", "indegree",
+                     "--alpha", "0", "--format", "json"]) == 0
+    cohort = json.loads(capsys.readouterr().out)["cohort_users"]
+    assert cli.main(["influence", *common, "--kind", "local", "--screen",
+                     "--entropy-filter", "3.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(cohort) >= 3
+    assert [int(row.split(",")[0]) for row in rows] == cohort
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral"],
     ["centrality", "--measure", "pagerank"],

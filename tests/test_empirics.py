@@ -459,8 +459,8 @@ def _sweep_fixture():
 def test_correlation_sweep_alpha_zero_equals_indegree():
     g, log = _sweep_fixture()
     report = correlation_sweep(g, log, ["alpha", "indegree"], [0.0], "global",
-                               min_rebroadcasts=0, apply_spam_filter=False,
-                               apply_significance=False)
+                               min_rebroadcasts=0, entropy_threshold=None,
+                               p_cut=None)
     by_measure = {e.measure: e for e in report.entries}
     assert by_measure["alpha"].pearson_r == pytest.approx(
         by_measure["indegree"].pearson_r, abs=1e-12)
@@ -470,7 +470,7 @@ def test_correlation_sweep_alpha_zero_equals_indegree():
 def test_correlation_sweep_accepts_nalpha_alias():
     g, log = _sweep_fixture()
     report = correlation_sweep(g, log, ["nalpha"], [0.1], "global",
-                               min_rebroadcasts=0, apply_spam_filter=False)
+                               min_rebroadcasts=0, entropy_threshold=None)
     assert report.entries[0].measure == "normalized_alpha"
 
 
@@ -480,7 +480,7 @@ def test_correlation_sweep_skips_undefined_alpha_rows():
     bad = 1.0 / spectral_radius(g)  # singular for the normalized measure
     report = correlation_sweep(g, log, ["normalized_alpha", "indegree"],
                                [bad], "global", min_rebroadcasts=0,
-                               apply_spam_filter=False)
+                               entropy_threshold=None)
     measures = [e.measure for e in report.entries]
     assert "indegree" in measures and "normalized_alpha" not in measures
 
@@ -493,7 +493,7 @@ def test_correlation_sweep_combined_equals_single_measure_sweeps():
     lam = spectral_radius(g)
     grid = [0.0, 0.3 / lam, 0.9 / lam, 1.0 / lam, 1.5 / lam]
     measures = ["nalpha", "alpha", "pagerank"]
-    kw = dict(min_rebroadcasts=0, apply_spam_filter=False)
+    kw = dict(min_rebroadcasts=0, entropy_threshold=None)
     combined = correlation_sweep(g, log, measures, grid, "global", **kw).entries
     singles = [e for m in measures
                for e in correlation_sweep(g, log, [m], grid, "global", **kw).entries]
@@ -528,7 +528,7 @@ def test_correlation_sweep_computes_each_alpha_series_once(monkeypatch):
     lam = spectral_radius(g)
     grid = [0.2 / lam, 0.5 / lam, 0.8 / lam]
     report = correlation_sweep(g, log, ["nalpha", "alpha", "eigenvector", "pagerank"], grid,
-                               "global", min_rebroadcasts=0, apply_spam_filter=False)
+                               "global", min_rebroadcasts=0, entropy_threshold=None)
     assert len(report.entries) == 12
     # the measure without an alpha is scored once per grid, at its first alpha
     assert calls == [grid[0], "eigenvector", *grid[1:]]
@@ -541,7 +541,7 @@ def test_correlation_sweep_counts_active_users_only_for_the_screen(monkeypatch):
     g, log = _sweep_fixture()
     kw = dict(min_rebroadcasts=0, window=5, p_cut=1.0)
     correlation_sweep(g, log, ["indegree"], [0.0], "global", **kw)
-    correlation_sweep(g, log, ["indegree"], [0.0], "local", apply_significance=False, **kw)
+    correlation_sweep(g, log, ["indegree"], [0.0], "local", **dict(kw, p_cut=None))
     correlation_sweep(g, log, ["indegree"], [0.0], "local", active_users=60, **kw)
     assert counted == []
     # the spam filter drops items here; the screen still counts the log as read
@@ -559,7 +559,7 @@ def test_correlation_sweep_degenerate_cohort():
     log = from_records(recs)
     with pytest.raises(NumericalError, match="degenerate cohort"):
         correlation_sweep(g, log, ["indegree"], [0.0], "global",
-                          min_rebroadcasts=0, apply_spam_filter=False)
+                          min_rebroadcasts=0, entropy_threshold=None)
 
 
 def test_correlation_sweep_small_cohort_errors():
@@ -568,7 +568,7 @@ def test_correlation_sweep_small_cohort_errors():
     log = from_records(recs)
     with pytest.raises(NumericalError, match="cohort too small"):
         correlation_sweep(g, log, ["indegree"], [0.0], "global",
-                          min_rebroadcasts=0, apply_spam_filter=False)
+                          min_rebroadcasts=0, entropy_threshold=None)
 
 
 def test_correlation_sweep_validates_inputs():
