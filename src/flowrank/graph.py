@@ -211,15 +211,14 @@ def indegree_vector(g: DirectedGraph) -> np.ndarray:
     return g.in_degree.astype(np.float64)
 
 
-def load_edge_list(path, *, mapping_path=None) -> tuple[DirectedGraph, list[str] | None]:
+def load_edge_list(path) -> tuple[DirectedGraph, list[str] | None]:
     """Read a TSV edge list (src<TAB>dst per line, '#' comment lines).
 
     If every token is a decimal integer the ids are used directly
     (gaps become isolated nodes); ids must lie in [0, MAX_NODES). Otherwise
     tokens are treated as string labels, mapped to dense ids in sorted
     order, and the mapping is written next to the input as
-    <input>.nodemap.tsv (label<TAB>index), or to `mapping_path` when
-    given. Returns (graph, labels or None).
+    <input>.nodemap.tsv (label<TAB>index). Returns (graph, labels or None).
     """
     path = Path(path)
     try:
@@ -227,8 +226,7 @@ def load_edge_list(path, *, mapping_path=None) -> tuple[DirectedGraph, list[str]
         if ids is None:
             ids, labels = _scan_edge_list(path)
         if labels is not None:
-            mpath = Path(mapping_path) if mapping_path is not None else Path(str(path) + ".nodemap.tsv")
-            with open(mpath, "w", encoding="utf-8") as fh:
+            with open(str(path) + ".nodemap.tsv", "w", encoding="utf-8") as fh:
                 fh.writelines(f"{lab}\t{i}\n" for i, lab in enumerate(labels))
     except OSError as exc:
         raise InputFormatError(str(exc), path=str(path)) from exc

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as hst
 
 from flowrank import (
     ConvergenceError,
+    NumericalError,
     build_graph,
     correlation_sweep,
+    epidemic_threshold,
     is_acyclic,
     is_strongly_connected,
     load_edge_list,
@@ -61,6 +63,19 @@ def test_correlation_sweep_solves_lambda1_once(monkeypatch):
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_epidemic_threshold_reads_acyclicity_from_the_cached_lambda1(monkeypatch):
+    acyclic_calls = _count_calls(monkeypatch, "is_acyclic")
+    ring = build_graph([(i, (i + 1) % 5) for i in range(5)])
+    assert epidemic_threshold(ring) == pytest.approx(1.0)
+    assert len(acyclic_calls) == 1     # the lambda1 solve's own check, not a second pass
+    epidemic_threshold(ring)
+    assert len(acyclic_calls) == 1
+    chain = build_graph([(0, 1), (1, 2)])
+    with pytest.raises(NumericalError, match="nilpotent adjacency"):
+        epidemic_threshold(chain)
+    assert len(acyclic_calls) == 2
 
 
 def test_convergence_error_is_not_cached(monkeypatch):
