@@ -235,12 +235,9 @@ def threshold_sweep(g: DirectedGraph, grid, trials: int, rng_seed: int) -> list[
                                    np.uint64(base_int))
         reached = np.cumsum(np.bincount(level[level >= 0], minlength=len(grid)))
         fractions[order, j] = reached / n
-    stats = []
-    for gi, p in enumerate(grid):
-        row = fractions[gi]
-        mean = float(row.mean())
-        stderr = float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-        stats.append(CascadeRunStats(transmissibility=p, trials=trials,
-                                     mean_outbreak_fraction=mean,
-                                     stderr=stderr, rng_seed=rng_seed))
-    return stats
+    means = fractions.mean(axis=1)
+    stderrs = (fractions.std(axis=1, ddof=1) / np.sqrt(trials) if trials > 1
+               else np.zeros(len(grid)))
+    return [CascadeRunStats(transmissibility=p, trials=trials, mean_outbreak_fraction=mean,
+                            stderr=stderr, rng_seed=rng_seed)
+            for p, mean, stderr in zip(grid, means.tolist(), stderrs.tolist())]

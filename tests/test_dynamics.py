@@ -461,3 +461,32 @@ def test_threshold_sweep_matches_point_by_point_oracle(g, grid, trials, rng_seed
     # repr round-trips floats, so equal reprs mean equal bits
     got = threshold_sweep(g, grid, trials, rng_seed)
     assert repr(got) == repr(_sweep_point_by_point(g, grid, trials, rng_seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=hst.integers(1, 300), trials=hst.integers(1, 300), n=hst.integers(1, 400),
+       seed=hst.integers(0, 2**32))
+@example(points=100_000, trials=2, n=7, seed=0)
+@example(points=3, trials=12_345, n=5, seed=1)
+@example(points=1, trials=1, n=1, seed=2)
+def test_sweep_statistics_equal_the_per_row_reductions(points, trials, n, seed):
+    # the kernel returns random join levels, so the rows hold arbitrary fractions
+    rng = np.random.default_rng(seed)
+    fractions = np.empty((points, trials))
+
+    def random_levels(indptr, indices, seeds, ascending, base):
+        level = rng.integers(-1, points, size=n)
+        j = random_levels.calls
+        fractions[:, j] = np.cumsum(np.bincount(level[level >= 0], minlength=points)) / n
+        random_levels.calls += 1
+        return level
+
+    random_levels.calls = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "ic_spread", random_levels)
+        stats = threshold_sweep(build_graph([], node_count=n), np.linspace(0, 1, points),
+                                trials, seed)
+    for row, got in zip(fractions, stats, strict=True):
+        stderr = float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        assert got.mean_outbreak_fraction.hex() == float(row.mean()).hex()
+        assert got.stderr.hex() == stderr.hex()
