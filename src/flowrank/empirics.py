@@ -414,13 +414,8 @@ def _log_choose(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
-def hypergeometric_pmf(k: int, K: int, N: int, n: int) -> float:
-    """P(X = k) drawing n without replacement from N with K marked.
-
-    Computed in log space, so N in the tens of thousands stays exact to
-    double precision instead of overflowing factorials. k below the
-    support floor max(0, n-(N-K)) is a combinatorial zero.
-    """
+def _urn(k, K, N, n) -> tuple[int, int, int, int]:
+    # the integers (k, K, N, n) of a valid hypergeometric draw, else ValueError
     for name, value in (("k", k), ("K", K), ("N", N), ("n", n)):
         if int(value) != value:
             raise ValueError(f"{name} must be an integer")
@@ -429,8 +424,36 @@ def hypergeometric_pmf(k: int, K: int, N: int, n: int) -> float:
         raise ValueError("require 0 <= K <= N and 0 <= n <= N")
     if k < 0 or k > min(K, n):
         raise ValueError("require 0 <= k <= min(K, n)")
+    return k, K, N, n
+
+
+def hypergeometric_pmf(k: int, K: int, N: int, n: int) -> float:
+    """P(X = k) drawing n without replacement from N with K marked.
+
+    Computed in log space, so N in the tens of thousands stays exact to
+    double precision instead of overflowing factorials. k below the
+    support floor max(0, n-(N-K)) is a combinatorial zero.
+    """
+    k, K, N, n = _urn(k, K, N, n)
     log_p = _log_choose(K, k) + _log_choose(N - K, n - k) - _log_choose(N, n)
     return math.exp(log_p) if log_p > -math.inf else 0.0
+
+
+def _hypergeometric_tail(k: int, K: int, N: int, n: int) -> float:
+    """P(X >= k) for the draw of hypergeometric_pmf.
+
+    The counts C(K, j) C(N-K, n-j) for j = k..min(K, n) are summed as
+    integers, each from the last by their ratio, and divided by C(N, n)
+    once, so the result is correctly rounded.
+    """
+    k, K, N, n = _urn(k, K, N, n)
+    k = max(k, n - (N - K))     # below the support floor the tail is 1
+    term = math.comb(K, k) * math.comb(N - K, n - k)
+    total = term
+    for j in range(k, min(K, n)):
+        term = term * (K - j) * (n - j) // ((j + 1) * (N - K - n + j + 1))
+        total += term
+    return total / math.comb(N, n)
 
 
 def significance_screen(estimates: dict[int, InfluenceEstimate], g: DirectedGraph,
@@ -440,8 +463,9 @@ def significance_screen(estimates: dict[int, InfluenceEstimate], g: DirectedGrap
     Under the null, the k follower rebroadcasts among an item's first n
     are a hypergeometric draw: n draws from N active users of whom
     K = follower count are marked. The observed mean rounds (and clamps)
-    to the nearest supported k; users with chance probability below
-    p_cut survive, annotated with that probability.
+    to the nearest supported k; users whose chance of at least k
+    follower rebroadcasts, P(X >= k), is below p_cut survive, annotated
+    with that probability.
     """
     if not 0.0 < p_cut <= 1.0:
         raise ValueError("p_cut must be in (0, 1]")
@@ -453,7 +477,7 @@ def significance_screen(estimates: dict[int, InfluenceEstimate], g: DirectedGrap
         lo = max(0, n - (N - K))
         hi = min(K, n)
         k = min(max(int(round(est.local)), lo), hi)
-        p = hypergeometric_pmf(k, K, N, n)
+        p = _hypergeometric_tail(k, K, N, n)
         if p < p_cut:
             kept[user] = replace(est, significance_p=p)
     return kept

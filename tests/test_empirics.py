@@ -25,6 +25,7 @@ from flowrank import (
     write_event_log,
 )
 
+from flowrank.empirics import _hypergeometric_tail
 from oracles import edges_ring, random_sc_edges, sequential_cascade
 
 
@@ -349,6 +350,28 @@ def test_significance_screen_keeps_surprising_counts_only():
     kept = significance_screen(est, g, N=71367, n=100)
     assert 0 in kept and 201 not in kept
     assert 0.0 < kept[0].significance_p < 0.05
+
+
+def test_significance_screen_uses_the_upper_tail():
+    # K = 50 of N = 1000 in 100 draws expects 5 hits: none at all is no evidence
+    # of influence (P(X >= 0) = 1), though its point probability is only 0.0045
+    g = build_graph([(i, 0) for i in range(1, 51)], node_count=51)
+    assert hypergeometric_pmf(0, 50, 1000, 100) < 0.05
+    assert significance_screen({0: _estimate(0, local=0.0)}, g, N=1000, n=100) == {}
+    kept = significance_screen({0: _estimate(0, local=12.0)}, g, N=1000, n=100)
+    assert kept[0].significance_p == pytest.approx(
+        scipy.stats.hypergeom.sf(11, 1000, 50, 100), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_hypergeometric_tail_matches_scipy(data):
+    N = data.draw(hst.integers(1, 3000))
+    K = data.draw(hst.integers(0, N))
+    n = data.draw(hst.integers(0, N))
+    k = data.draw(hst.integers(0, min(K, n)))
+    ref = float(scipy.stats.hypergeom.sf(k - 1, N, K, n))
+    assert _hypergeometric_tail(k, K, N, n) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
 def test_significance_screen_everyone_follows_is_never_significant():
