@@ -408,12 +408,6 @@ def global_influence(log: EventLog, g: DirectedGraph, min_items: int = 2,
                           lambda item: extract_cascade(log, g, item.item_id).size)
 
 
-def _log_choose(a: int, b: int) -> float:
-    if b < 0 or b > a:
-        return -math.inf
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
 def _urn(k, K, N, n) -> tuple[int, int, int, int]:
     # the integers (k, K, N, n) of a valid hypergeometric draw, else ValueError
     for name, value in (("k", k), ("K", K), ("N", N), ("n", n)):
@@ -430,22 +424,17 @@ def _urn(k, K, N, n) -> tuple[int, int, int, int]:
 def hypergeometric_pmf(k: int, K: int, N: int, n: int) -> float:
     """P(X = k) drawing n without replacement from N with K marked.
 
-    Computed in log space, so N in the tens of thousands stays exact to
-    double precision instead of overflowing factorials. k below the
+    The counts C(K, k) C(N-K, n-k) and C(N, n) are exact integers divided
+    once, so the result is correctly rounded at any N. k below the
     support floor max(0, n-(N-K)) is a combinatorial zero.
     """
     k, K, N, n = _urn(k, K, N, n)
-    log_p = _log_choose(K, k) + _log_choose(N - K, n - k) - _log_choose(N, n)
-    return math.exp(log_p) if log_p > -math.inf else 0.0
+    return math.comb(K, k) * math.comb(N - K, n - k) / math.comb(N, n)
 
 
 def _hypergeometric_tail(k: int, K: int, N: int, n: int) -> float:
-    """P(X >= k) for the draw of hypergeometric_pmf.
-
-    The counts C(K, j) C(N-K, n-j) for j = k..min(K, n) are summed as
-    integers, each from the last by their ratio, and divided by C(N, n)
-    once, so the result is correctly rounded.
-    """
+    # P(X >= k) for the draw of hypergeometric_pmf, with its counts for j = k..min(K, n)
+    # summed exactly, each from the last by their ratio
     k, K, N, n = _urn(k, K, N, n)
     k = max(k, n - (N - K))     # below the support floor the tail is 1
     term = math.comb(K, k) * math.comb(N - K, n - k)
@@ -463,7 +452,7 @@ def significance_screen(estimates: dict[int, InfluenceEstimate], g: DirectedGrap
     Under the null, the k follower rebroadcasts among an item's first n
     are a hypergeometric draw: n draws from N active users of whom
     K = follower count are marked. The observed mean rounds (and clamps)
-    to the nearest supported k; users whose chance of at least k
+    to the nearest k in 0..min(K, n); users whose chance of at least k
     follower rebroadcasts, P(X >= k), is below p_cut survive, annotated
     with that probability.
     """
@@ -474,9 +463,7 @@ def significance_screen(estimates: dict[int, InfluenceEstimate], g: DirectedGrap
         if est.local is None:
             raise ValueError("significance screening requires local estimates")
         K = int(g.in_degree[user])
-        lo = max(0, n - (N - K))
-        hi = min(K, n)
-        k = min(max(int(round(est.local)), lo), hi)
+        k = min(max(int(round(est.local)), 0), K, n)
         p = _hypergeometric_tail(k, K, N, n)
         if p < p_cut:
             kept[user] = replace(est, significance_p=p)
@@ -548,9 +535,8 @@ def influence_cohort(log: EventLog, g: DirectedGraph, kind: str, *, window: int 
                                 min_rebroadcasts=min_rebroadcasts)
     if p_cut is None:
         return estimates
-    if active_users is None:
-        active_users = int(log.user_ids().size)
-    return significance_screen(estimates, g, N=active_users, n=window, p_cut=p_cut)
+    N = int(log.user_ids().size) if active_users is None else active_users
+    return significance_screen(estimates, g, N=N, n=window, p_cut=p_cut)
 
 
 def pearson_correlation(x, y) -> float:
@@ -596,15 +582,11 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
                       active_users: int | None = None) -> CorrelationReport:
     """Correlate centrality scores with empirical influence over an alpha grid.
 
-    The cohort is built once, by influence_cohort: spam-filter the items
-    (unless entropy_threshold is None), estimate influence for
-    submitters meeting the item/rebroadcast thresholds, and (for local
-    influence, unless p_cut is None) keep only the statistically
-    significant users. Each (alpha, measure) pair then contributes one
-    Pearson r over the cohort. Pairs where the measure is undefined at
-    that alpha, or where its cohort scores carry no variance, are
-    skipped; zero variance in the influence values themselves is an
-    error.
+    The cohort is built once, by influence_cohort. Each (alpha,
+    measure) pair then contributes one Pearson r over the cohort. Pairs
+    where the measure is undefined at that alpha, or where its cohort
+    scores carry no variance, are skipped; zero variance in the
+    influence values themselves is an error.
     """
     if influence_kind not in ("local", "global"):
         raise ValueError("influence_kind must be 'local' or 'global'")
@@ -614,14 +596,13 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
                                  min_rebroadcasts=min_rebroadcasts,
                                  entropy_threshold=entropy_threshold, p_cut=p_cut,
                                  active_users=active_users)
-    values_of = {u: e.local if influence_kind == "local" else e.global_
-                 for u, e in estimates.items()}
 
-    cohort = sorted(values_of)
+    cohort = sorted(estimates)
     if len(cohort) < 3:
         raise NumericalError(f"cohort too small: {len(cohort)} users after screening, need >= 3")
     cohort_idx = np.asarray(cohort, dtype=np.int64)
-    influence = np.asarray([values_of[u] for u in cohort], dtype=np.float64)
+    field = "local" if influence_kind == "local" else "global_"
+    influence = np.asarray([getattr(estimates[u], field) for u in cohort], dtype=np.float64)
     if np.ptp(influence) == 0.0:
         raise NumericalError("degenerate cohort")
 

@@ -213,12 +213,8 @@ def spectral_radius(g: DirectedGraph) -> float:
 
 
 def epidemic_threshold(g: DirectedGraph) -> float:
-    """Critical ratio of transmission to recovery, 1/|lambda1|.
-
-    A 0/1 adjacency has lambda1 = 0 exactly when it is acyclic (any cycle
-    gives lambda1 >= 1), so the cached lambda1 decides acyclicity too.
-    """
-    lam = spectral_radius(g)
+    """Critical ratio of transmission to recovery, 1/|lambda1|."""
+    lam = spectral_radius(g)    # exactly 0 when acyclic: any cycle makes lambda1 >= 1
     if lam == 0.0:
         raise NumericalError("no finite threshold (nilpotent adjacency)")
     return 1.0 / lam

@@ -312,7 +312,7 @@ def test_hypergeometric_matches_scipy():
 
 
 def test_hypergeometric_survives_census_scale():
-    # population and draw sizes from a full activity log; log-space only
+    # population and draw sizes from a full activity log
     p = hypergeometric_pmf(6, 200, 71367, 100)
     assert 0.0 < p < 0.05
     assert hypergeometric_pmf(0, 200, 71367, 100) > 0.5
