@@ -395,11 +395,13 @@ def test_screen_of_global_influence_is_a_usage_error(event_log, capsys):
         "flowrank: error: --screen applies to --kind local only"]
 
 
-def test_influence_and_correlate_agree_on_the_cohort(capsys):
-    # correlate's default funnel is influence's --screen --entropy-filter 3.0
+@pytest.mark.parametrize("p_cut", ["0.2", "0.5"])
+def test_influence_and_correlate_agree_on_the_cohort(p_cut, capsys):
+    # correlate's default funnel is influence's --screen --entropy-filter 3.0. On this
+    # fixture the screen drops users at 0.2, and only the filter drops one at 0.5
     common = ["--graph", str(DATA / "pipeline_graph.tsv"),
               "--events", str(DATA / "pipeline_events.csv"), "--min-rebroadcasts", "5",
-              "--p-cut", "0.3"]
+              "--p-cut", p_cut]
     assert cli.main(["correlate", *common, "--influence", "local", "--measures", "indegree",
                      "--alpha", "0", "--format", "json"]) == 0
     cohort = json.loads(capsys.readouterr().out)["cohort_users"]

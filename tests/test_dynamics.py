@@ -473,15 +473,14 @@ def test_sweep_statistics_equal_the_per_row_reductions(points, trials, n, seed):
     # the kernel returns random join levels, so the rows hold arbitrary fractions
     rng = np.random.default_rng(seed)
     fractions = np.empty((points, trials))
+    trial = itertools.count()
 
     def random_levels(indptr, indices, seeds, ascending, base):
         level = rng.integers(-1, points, size=n)
-        j = random_levels.calls
-        fractions[:, j] = np.cumsum(np.bincount(level[level >= 0], minlength=points)) / n
-        random_levels.calls += 1
+        reached = np.cumsum(np.bincount(level[level >= 0], minlength=points))
+        fractions[:, next(trial)] = reached / n
         return level
 
-    random_levels.calls = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "ic_spread", random_levels)
         stats = threshold_sweep(build_graph([], node_count=n), np.linspace(0, 1, points),
