@@ -24,8 +24,8 @@ from flowrank import (
     synthesize_event_log,
     write_event_log,
 )
-
 from flowrank.empirics import _hypergeometric_tail
+
 from oracles import edges_ring, random_sc_edges, sequential_cascade
 
 
