@@ -6,8 +6,9 @@ dict); once they succeed, one renderer streams them to stdout or
 --output as CSV or sorted-key JSON rows. Floats keep 12 significant
 digits and fields a fixed order, so identical inputs and seed produce
 byte-identical files. Exit codes: 0 success, 2 usage error (including a
-non-finite grid value, a range of more than _MAX_GRID_POINTS points, or
-more threshold --trials than fit in memory), 3 input format error
+non-finite grid value, a range of more than _MAX_GRID_POINTS points, more
+threshold --trials than fit in memory, or a --window, --active-users or
+--p-cut the screen cannot use: a ParameterError), 3 input format error
 (including an --output or stdout that cannot be written; a closed stdout
 pipe exits quietly), 4 numerical failure (including a simulate step that
 overflows); an alpha sweep exits at its first failing alpha.
@@ -29,7 +30,7 @@ from .dynamics import (CONSERVATIVE, NONCONSERVATIVE, ProcessConfig, SisConfig,
                        conservative_step, nonconservative_step, sis_step,
                        threshold_sweep)
 from .empirics import correlation_sweep, influence_cohort, read_event_log
-from .errors import InputFormatError, NumericalError
+from .errors import InputFormatError, NumericalError, ParameterError
 from .graph import DanglingPolicy, indegree_vector, load_edge_list
 from .spectral import is_acyclic, power_iteration
 
@@ -391,6 +392,8 @@ def main(argv=None) -> int:
             _write_stdout(report, args.format)
     except BrokenPipeError:
         return 3    # stdout's reader has gone, as under `| head`: stop without a word
+    except ParameterError as exc:
+        parser.error(f"--{exc.name.replace('_', '-')} {exc.detail}")
     except (InputFormatError, ValueError) as exc:
         # data-dependent domain violations (ValueError) surface as input problems
         print(f"flowrank: input error: {exc}", file=sys.stderr)

@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .centrality import sweep
 from .dynamics import cascade_rounds
-from .errors import InputFormatError, NumericalError
-from .graph import DirectedGraph, _line_blocks
+from .errors import InputFormatError, NumericalError, ParameterError
+from .graph import DirectedGraph, _digit_fields, _field_table, _line_blocks
 from .rng import SLOT_EDGE_BASE, stream_value, trial_base, unit_float
 
 MODES = ("digg", "twitter")
@@ -32,6 +33,7 @@ EVENT_LOG_HEADER = ("item_id", "user_id", "timestamp", "kind")
 
 _HEADER_LINE = ",".join(EVENT_LOG_HEADER).encode()
 _ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
+_SUBMIT, _REBROADCAST = (np.frombuffer(w, dtype=np.uint8) for w in (b"submit", b"rebroadcast"))
 _INT64_MAX = 2**63 - 1
 
 
@@ -158,10 +160,11 @@ def from_records(records, mode: str = "digg") -> EventLog:
 def read_event_log(path, mode: str = "digg") -> EventLog:
     """Read the CSV event-log format (header item_id,user_id,timestamp,kind).
 
-    Plain files (no quotes, spaces, tabs or carriage returns, and digit
-    user ids and timestamps) are parsed in blocks and validated with
-    array checks. Any other file, and any file that fails a check, is
-    read again row by row, so errors name their line.
+    Plain files (exactly that header, no blank line, quote, space, tab or
+    carriage return, and user ids and timestamps of 1 to 18 digits) are
+    parsed in numpy blocks and validated with array checks. Any other
+    file, and any file that fails a check, is read again row by row, so
+    errors name their line.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -229,11 +232,13 @@ def _read_plain_event_log(path, mode: str) -> EventLog | None:
         return EventLog([], mode)
     codes, users, times, submit = (np.concatenate(c) for c in zip(*columns))
 
-    # group rows by item, keeping file order within an item
-    order = np.argsort(codes, kind="stable")
+    # group rows by item, keeping file order within an item (a file of
+    # contiguous items is grouped already)
+    if (np.diff(codes) < 0).any():
+        order = np.argsort(codes, kind="stable")
+        users, times, submit = users[order], times[order], submit[order]
     starts = np.zeros(len(item_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=len(item_ids)), out=starts[1:])
-    users, times, submit = users[order], times[order], submit[order]
     # exactly one submit per item, and it comes first
     if submit.sum() != len(item_ids) or not submit[starts[:-1]].all():
         return None
@@ -270,7 +275,7 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
 
     New item tokens are added to `index`. A plain block has no quote,
     space, tab or carriage return, three commas on every line, known
-    kinds, and user ids and timestamps of ASCII digits that fit in int64.
+    kinds, and user ids and timestamps of 1 to 18 ASCII digits.
     """
     if b'"' in block or b" " in block or b"\t" in block or b"\r" in block:
         return None
@@ -278,26 +283,42 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
     seps = np.flatnonzero((buf == 44) | (buf == 10))
     if seps.size % 4 or (buf[seps].reshape(-1, 4) != _ROW_SEPS).any():
         return None
-    seps = seps.reshape(-1, 4)
-    # no empty user or time field: with that, digits-only joins mean digits-only fields
-    if (seps[:, 1] - seps[:, 0] < 2).any() or (seps[:, 2] - seps[:, 1] < 2).any():
+    starts, lengths = (a.reshape(-1, 4) for a in _field_table(seps))
+    users = _digit_fields(buf, starts[:, 1], lengths[:, 1])
+    times = _digit_fields(buf, starts[:, 2], lengths[:, 2])
+    submit = lengths[:, 3] == _SUBMIT.size
+    if (users is None or times is None
+            or not (submit | (lengths[:, 3] == _REBROADCAST.size)).all()
+            or not _all_spell(buf, starts[submit, 3], _SUBMIT)
+            or not _all_spell(buf, starts[~submit, 3], _REBROADCAST)):
         return None
-    fields = block.replace(b"\n", b",").split(b",")
-    items, user_toks, time_toks, kinds = fields[0:-1:4], fields[1::4], fields[2::4], fields[3::4]
-    if not (b"".join(user_toks).isdigit() and b"".join(time_toks).isdigit()):
-        return None
-    if kinds.count(b"submit") + kinds.count(b"rebroadcast") != len(kinds):
-        return None
-    try:
-        users = np.array(user_toks, dtype=np.int64)
-        times = np.array(time_toks, dtype=np.int64)
-    except OverflowError:
-        return None
-    submit = seps[:, 3] - seps[:, 2] == 1 + len("submit")
-    for tok in dict.fromkeys(items):
-        index.setdefault(tok, len(index))
-    codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
-    return codes, users, times, submit
+    return _item_codes(block, buf, starts[:, 0], lengths[:, 0], index), users, times, submit
+
+
+def _all_spell(buf: np.ndarray, starts: np.ndarray, word: np.ndarray) -> bool:
+    # whether the word.size bytes at each start spell word
+    return not starts.size or bool((sliding_window_view(buf, word.size)[starts] == word).all())
+
+
+def _item_codes(block: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                index: dict[bytes, int]) -> np.ndarray:
+    # item numbers of a block's rows: only a row whose item field differs from
+    # the previous row's is decoded, and each run of one item repeats its number
+    head = np.ones(starts.size, dtype=bool)
+    head[1:] = lengths[1:] != lengths[:-1]
+    same = np.flatnonzero(~head)
+    n = lengths[same]
+    if n.sum():
+        # every item byte of those rows against the byte one line back
+        ends = np.cumsum(n)
+        at = np.arange(ends[-1]) + np.repeat(starts[same] - (ends - n), n)
+        back = at - np.repeat(starts[same] - starts[same - 1], n)
+        differ = np.flatnonzero(buf[at] != buf[back])
+        head[same[np.searchsorted(ends, differ, side="right")]] = True
+    heads = np.flatnonzero(head)
+    codes = [index.setdefault(block[lo:lo + k], len(index))
+             for lo, k in zip(starts[heads].tolist(), lengths[heads].tolist())]
+    return np.repeat(np.asarray(codes, dtype=np.int64), np.diff(heads, append=starts.size))
 
 
 def write_event_log(log: EventLog, path) -> None:
@@ -379,7 +400,7 @@ def local_influence(log: EventLog, g: DirectedGraph, window: int = 100,
     result maps user id to estimate in ascending user order.
     """
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise ParameterError("window", "must be >= 1")
     return _per_submitter(
         log, g, min_items, min_rebroadcasts, "local",
         lambda item: int(np.isin(item.rebroadcast_users[:window],
@@ -457,7 +478,7 @@ def significance_screen(estimates: dict[int, InfluenceEstimate], g: DirectedGrap
     with that probability.
     """
     if not 0.0 < p_cut <= 1.0:
-        raise ValueError("p_cut must be in (0, 1]")
+        raise ParameterError("p_cut", "must be in (0, 1]")
     kept: dict[int, InfluenceEstimate] = {}
     for user, est in estimates.items():
         if est.local is None:
@@ -536,6 +557,17 @@ def influence_cohort(log: EventLog, g: DirectedGraph, kind: str, *, window: int 
     if p_cut is None:
         return estimates
     N = int(log.user_ids().size) if active_users is None else active_users
+    # the urn must hold the window's draws and every screened user's followers
+    if window > N:
+        if active_users is None:
+            raise ParameterError("window", f"{window} exceeds the log's {N} distinct users")
+        raise ParameterError("active_users", f"{N} is below the window of {window}")
+    users = np.fromiter(estimates, dtype=np.int64, count=len(estimates))
+    over = users[g.in_degree[users] > N]
+    if over.size:
+        given = f"{N} is" if active_users is not None else f"defaults to the log's {N} users,"
+        raise ParameterError("active_users", f"{given} below the {int(g.in_degree[over[0]])} "
+                                             f"followers of user {int(over[0])}")
     return significance_screen(estimates, g, N=N, n=window, p_cut=p_cut)
 
 

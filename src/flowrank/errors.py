@@ -22,6 +22,19 @@ class InputFormatError(FlowrankError):
         super().__init__(prefix + message)
 
 
+class ParameterError(FlowrankError, ValueError):
+    """An argument value outside its domain, alone or for the data it meets.
+
+    `name` is the argument's keyword (`window`, `active_users`), which
+    the CLI turns into its flag to report a usage error.
+    """
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        self.detail = message
+        super().__init__(f"{name} {message}")
+
+
 class NumericalError(FlowrankError):
     """A computation is undefined or left its validity domain.
 

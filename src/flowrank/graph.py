@@ -24,6 +24,7 @@ _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
 # Largest node count whose sort keys n*n fit in int64 (see build_graph).
 MAX_NODES = 3_037_000_499
 _BLOCK_BYTES = 1 << 22      # load_edge_list reads the file in blocks of this size
+_MAX_DIGITS = 18            # every decimal of this many digits fits in int64
 
 
 class DanglingPolicy(enum.Enum):
@@ -219,6 +220,12 @@ def load_edge_list(path) -> tuple[DirectedGraph, list[str] | None]:
     tokens are treated as string labels, mapped to dense ids in sorted
     order, and the mapping is written next to the input as
     <input>.nodemap.tsv (label<TAB>index). Returns (graph, labels or None).
+
+    Plain digits<TAB>digits lines, after any leading lines that start
+    with '#', are parsed in numpy blocks. Labels, comment or blank lines
+    after that header, carriage returns, and ids of more than 18 digits
+    send the file to a line-by-line scanner, which gives the same result
+    and names the line of an error.
     """
     path = Path(path)
     try:
@@ -250,15 +257,46 @@ def _line_blocks(fh):
         yield block
 
 
+def _digit_fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the decimal fields buf[start:start + length] of a uint8 view.
+
+    None if a field is empty, longer than _MAX_DIGITS, or holds any byte
+    but an ASCII digit: the row scanners decide those. One vectorised
+    pass per digit position.
+    """
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    # the k-th byte back from a field's end weighs 10**k; bytes before a shorter
+    # field count as 0, and a byte that is not a digit wraps past 9
+    last = starts + lengths - 1
+    values = np.zeros(lengths.size, dtype=np.int64)
+    top = 0
+    for k in range(int(lengths.max())):
+        digits = (buf.take(last - k, mode="clip") - 48) * (lengths > k)
+        top = max(top, int(digits.max()))
+        values += digits.astype(np.int64) * 10**k
+    return values if top <= 9 else None
+
+
 def _read_int_edges(path: Path) -> np.ndarray | None:
     """Flat src, dst, src, dst, ... ids of a plain integer edge list, read in blocks.
 
-    Every block must be plain digits<TAB>digits lines, which numpy parses
-    in one pass. Returns None when only _scan_edge_list can tell the
-    outcome: any other line, an id outside [0, MAX_NODES), or no edges.
+    Leading lines that start with '#' (a SNAP-style header) are skipped;
+    after them every block must be plain digits<TAB>digits lines. Returns
+    None when only _scan_edge_list can tell the outcome: any other line,
+    an id outside [0, MAX_NODES), or no edges.
     """
     parts = []
     with open(path, "rb") as fh:
+        while fh.peek(1)[:1] == b"#":
+            line = fh.readline()
+            # the scanner reads UTF-8 text, where a bare \r ends a line too
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            if b"\r" in line.rstrip(b"\r\n"):
+                return None
         for block in _line_blocks(fh):
             ids = _bulk_ids(block)
             if ids is None:
@@ -270,19 +308,20 @@ def _read_int_edges(path: Path) -> np.ndarray | None:
 
 def _bulk_ids(block: bytes) -> np.ndarray | None:
     """The ids of a block made only of digits<TAB>digits lines, else None."""
-    if block.translate(None, b"0123456789\t\n"):
+    buf = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((buf == 9) | (buf == 10))
+    # fields alternate tab, newline; the block ends in a newline
+    if seps.size % 2 or (buf[seps[0::2]] != 9).any() or (buf[seps[1::2]] != 10).any():
         return None
-    seps = np.frombuffer(block, dtype=np.uint8)
-    seps = seps[seps < 48]      # the tabs (9) and newlines (10), in order
-    tokens = block.split()
-    # one token per field (no empty field or blank line), fields alternate tab, newline
-    if (len(tokens) != seps.size or seps.size % 2
-            or (seps[0::2] != 9).any() or (seps[1::2] != 10).any()):
-        return None
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except OverflowError:
-        return None
+    return _digit_fields(buf, *_field_table(seps))
+
+
+def _field_table(seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the fields of a block, each ending at its separator in `seps`."""
+    starts = np.empty_like(seps)
+    starts[:1] = 0
+    starts[1:] = seps[:-1] + 1
+    return starts, seps - starts
 
 
 def _scan_edge_list(path: Path) -> tuple[np.ndarray, list[str] | None]:

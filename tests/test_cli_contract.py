@@ -15,6 +15,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as hst
 
 from flowrank import cli
@@ -46,15 +47,17 @@ _COMMANDS = {
                   hst.sampled_from([["--trials", "1"], ["--trials", "4"]]),
                   _flags(("--seed", "7"))],
     "influence": [_flags(("--kind", "global")),
-                  _flags(("--window", "3"), ("--mode", "twitter")),
+                  _flags(("--window", "3"), ("--window", "0"), ("--mode", "twitter")),
                   _flags(("--min-items", "1"), ("--min-rebroadcasts", "5")),
-                  _flags(("--screen",), ("--screen", "--active-users", "200")),
+                  _flags(("--screen",), ("--screen", "--active-users", "200"),
+                         ("--screen", "--active-users", "3")),
                   _flags(("--entropy-filter", "1.0"))],
     "correlate": [hst.sampled_from([["--measures", "pagerank"], ["--measures", "nalpha,indegree"]]),
                   _flags(("--alpha", "0.05"), ("--alpha-sweep", "0.02:0.06:0.02")),
                   _flags(("--influence", "global")),
                   _flags(("--min-rebroadcasts", "0"), ("--min-rebroadcasts", "5")),
-                  _flags(("--no-spam-filter",), ("--no-significance",))],
+                  _flags(("--no-spam-filter",), ("--no-significance",)),
+                  _flags(("--active-users", "3"))],
 }
 
 
@@ -178,3 +181,26 @@ def test_a_failing_stdout_exits_3(run):
     assert code == 3, argv
     expected = "" if broken else "flowrank: input error: <stdout>: [Errno 28] No space left on device\n"
     assert stderr.getvalue() == expected, argv
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["influence", "--kind", "local", "--screen", "--active-users", "3"], "--active-users"),
+    (["influence", "--kind", "local", "--screen", "--active-users", "0"], "--active-users"),
+    (["influence", "--kind", "local", "--screen", "--window", "3", "--active-users", "3"],
+     "--active-users"),
+    (["influence", "--kind", "local", "--screen", "--window", "100000"], "--window"),
+    (["influence", "--window", "0"], "--window"),
+    (["influence", "--screen", "--p-cut", "0"], "--p-cut"),
+    (["correlate", "--influence", "local", "--active-users", "3", "--measures", "pagerank",
+      "--alpha", "0.05"], "--active-users"),
+])
+def test_a_screen_option_the_log_rules_out_is_a_usage_error(argv, flag):
+    # an urn of N active users must hold the window's draws and each user's followers
+    argv = argv + ["--graph", str(DATA / "pipeline_graph.tsv"),
+                   "--events", str(DATA / "pipeline_events.csv")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2 and stdout.getvalue() == ""
+    assert stderr.getvalue().splitlines()[-1].startswith(f"flowrank: error: {flag} "), argv

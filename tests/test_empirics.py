@@ -8,6 +8,7 @@ from flowrank import (
     EventLog,
     InputFormatError,
     NumericalError,
+    ParameterError,
     activity_entropies,
     build_graph,
     cascade_rounds,
@@ -16,6 +17,7 @@ from flowrank import (
     from_records,
     global_influence,
     hypergeometric_pmf,
+    influence_cohort,
     local_influence,
     pearson_correlation,
     read_event_log,
@@ -390,6 +392,26 @@ def test_significance_screen_requires_local_estimates():
         significance_screen({0: _estimate(0, global_=2.0)}, g, N=10, n=5)
     with pytest.raises(ValueError, match="p_cut"):
         significance_screen({}, g, N=10, n=5, p_cut=0.0)
+
+
+def test_influence_cohort_names_the_argument_the_urn_rules_out():
+    # user 0 has 10 followers, and the log holds users 0, 1 and 2 only
+    g = build_graph([(i, 0) for i in range(1, 11)], node_count=11)
+    log = from_records([_submit("a", 0, 1), _rb("a", 1, 2), _submit("b", 0, 3), _rb("b", 2, 4)])
+    cases = [
+        (dict(window=5), "window", "5 exceeds the log's 3 distinct users"),
+        (dict(window=2), "active_users",
+         "defaults to the log's 3 users, below the 10 followers of user 0"),
+        (dict(window=2, active_users=1), "active_users", "1 is below the window of 2"),
+        (dict(window=2, active_users=9), "active_users", "9 is below the 10 followers of user 0"),
+    ]
+    for extra, name, detail in cases:
+        with pytest.raises(ParameterError) as exc:
+            influence_cohort(log, g, "local", min_items=1, p_cut=0.5, **extra)
+        assert (exc.value.name, exc.value.detail) == (name, detail)
+    # ten active users hold both; one follower rebroadcast in two draws is no surprise
+    assert influence_cohort(log, g, "local", min_items=1, p_cut=0.5, window=2,
+                            active_users=10) == {}
 
 
 def _estimate(user, local=None, global_=None):

@@ -15,11 +15,12 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as hst
 
 from flowrank import (EventLog, FlowrankError, InputFormatError, load_edge_list,
-                      read_event_log, write_event_log)
+                      read_event_log, synthesize_event_log, write_event_log)
 from flowrank import empirics, graph
 from flowrank.empirics import ItemEvents
 
 PROPERTY = settings(max_examples=100, deadline=None)
+DATA = Path(__file__).parent / "data"
 
 
 @contextmanager
@@ -87,6 +88,16 @@ def _graph_summary(path):
 @example(data=b" 0\t1 \n# comment\n\n1\t2", block=3)
 @example(data=b"1\n2\t3\t4\n", block=24)
 @example(data=b"10\t11\n12\t13\n14\t15", block=4)
+@example(data=b"0\t123456789012345678\n", block=24)             # 18 digits, above MAX_NODES
+@example(data=b"0\t1234567890123456789\n", block=24)            # 19 digits
+@example(data=b"007\t010\n", block=24)
+@example(data=b"1a2\t3\n", block=24)
+@example(data=b"1/2\t3\n", block=24)                            # '/' sits just below '0'
+@example(data=b"1\t1:2\n", block=24)                            # ':' sits just above '9'
+@example(data=b"# SNAP header\n#\tnodes 3\n0\t1\n1\t2\n2\t0\n", block=3)
+@example(data=b"# a\r1\t2\n0\t1\n", block=24)                   # a bare \r ends the comment
+@example(data=b"#\xff\n0\t1\n", block=24)
+@example(data=b"0\t1\n# c\n1\t2\n", block=24)
 def test_edge_list_blocks_agree_with_line_scanner(data, block):
     with _file(data) as p:
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
@@ -175,6 +186,24 @@ def _read_summary(path, mode):
 @example(data=f"{HEADER}\na,1,2,submit\na,2,,rebroadcast\n".encode(), block=40, mode="digg")
 @example(data=f"{HEADER}\na,10,20,submit\na,11,21,rebroadcast\nb,12,22,submit\n".encode(),
          block=5, mode="digg")
+@example(data=f"{HEADER}\na,123456789012345678,123456789012345678,submit\n".encode(),
+         block=40, mode="digg")
+@example(data=f"{HEADER}\na,1234567890123456789,1,submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,{2**63 - 1},submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,{2**63},submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,007,010,submit\na,08,011,rebroadcast\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1a2,3,submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,1/2,submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1:2,3,submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,rebroadcasT\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\nab,1,2,submit\nac,2,3,submit\nab,3,4,rebroadcast\n".encode(),
+         block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\nab,2,3,submit\na,3,4,rebroadcast\nab,4,5,rebroadcast\n"
+         .encode(), block=40, mode="twitter")
+@example(data=f"{HEADER}\na,1,2,submit\nb,2,3,submit\na,3,4,rebroadcast\n".encode(),
+         block=64, mode="digg")
+@example(data=f"{HEADER}\nitem,1,2,submit\nitem,2,3,rebroadcast\nitem,3,4,rebroadcast\n"
+         "item,4,5,rebroadcast\n".encode(), block=20, mode="digg")
 def test_event_log_blocks_agree_with_row_scanner(data, block, mode):
     with _file(data) as p:
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
@@ -237,3 +266,28 @@ def test_event_log_write_read_round_trip(log, block):
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
             back = read_event_log(p, log.mode)
     assert _log_summary(back) == _log_summary(log)
+
+
+def _refuse(*args):
+    raise AssertionError("a plain file went to the row scanner")
+
+
+def test_fixtures_and_written_logs_never_reach_the_scanners(tmp_path):
+    # the scanners are 5-15x slower: a block reader that turns these files
+    # away is a performance fault even when its results are right
+    snap = tmp_path / "snap.tsv"
+    snap.write_bytes(b"# Directed graph\n# FromNodeId\tToNodeId\n"
+                     + (DATA / "pipeline_graph.tsv").read_bytes())
+    written = tmp_path / "synth.csv"
+    with mock.patch.object(graph, "_scan_edge_list", _refuse), \
+            mock.patch.object(empirics, "_scan_event_log", _refuse):
+        g, labels = load_edge_list(DATA / "pipeline_graph.tsv")
+        with_header, _ = load_edge_list(snap)
+        load_edge_list(DATA / "threshold_graph.tsv")
+        log = read_event_log(DATA / "pipeline_events.csv")
+        synth = synthesize_event_log(g, [0, 5, 11], 2, 0.4, rng_seed=3)
+        write_event_log(synth, written)
+        back = read_event_log(written)
+    assert labels is None and len(log) > 0
+    assert with_header.edges().tolist() == g.edges().tolist()
+    assert _log_summary(back) == _log_summary(synth)
