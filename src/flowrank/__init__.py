@@ -25,7 +25,7 @@ from .empirics import (Cascade, CorrelationReport, EventLog, InfluenceEstimate,
                        significance_screen, spam_filter, synthesize_event_log,
                        write_event_log)
 from .errors import (ConvergenceError, FlowrankError, InputFormatError,
-                     NumericalError, ParameterError)
+                     NumericalError)
 from .graph import (DanglingPolicy, DirectedGraph, adjacency_apply, build_graph,
                     indegree_vector, load_edge_list, replication_apply,
                     transfer_apply, write_edge_list)

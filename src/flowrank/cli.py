@@ -38,6 +38,8 @@ _CLI_MEASURES = ("pagerank", "alpha", "nalpha", "eigenvector", "indegree")
 _CHUNK_ROWS = 65536
 _MAX_GRID_POINTS = 100_000   # a lo:hi:step grid with more points is a usage error
 _F12 = "{:.12g}".format
+# the flag that sets each library argument a ParameterError can name
+_PARAMETER_FLAGS = {"window": "--window", "active_users": "--active-users", "p_cut": "--p-cut"}
 
 
 class _Table(dict):
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 3    # stdout's reader has gone, as under `| head`: stop without a word
     except ParameterError as exc:
-        parser.error(f"--{exc.name.replace('_', '-')} {exc.detail}")
+        parser.error(f"{_PARAMETER_FLAGS[exc.name]} {exc.detail}")
     except (InputFormatError, ValueError) as exc:
         # data-dependent domain violations (ValueError) surface as input problems
         print(f"flowrank: input error: {exc}", file=sys.stderr)

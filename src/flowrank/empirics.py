@@ -232,8 +232,9 @@ def _read_plain_event_log(path, mode: str) -> EventLog | None:
         return EventLog([], mode)
     codes, users, times, submit = (np.concatenate(c) for c in zip(*columns))
 
-    # group rows by item, keeping file order within an item (a file of
-    # contiguous items is grouped already)
+    # group rows by item, keeping file order within an item; a file of
+    # contiguous items is grouped already, and skipping the sort spares
+    # the peak memory of its index and three column copies
     if (np.diff(codes) < 0).any():
         order = np.argsort(codes, kind="stable")
         users, times, submit = users[order], times[order], submit[order]
@@ -292,7 +293,8 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
             or not _all_spell(buf, starts[submit, 3], _SUBMIT)
             or not _all_spell(buf, starts[~submit, 3], _REBROADCAST)):
         return None
-    return _item_codes(block, buf, starts[:, 0], lengths[:, 0], index), users, times, submit
+    codes = _item_codes(block, buf, starts[:, 0], lengths[:, 0], index)
+    return None if codes is None else (codes, users, times, submit)
 
 
 def _all_spell(buf: np.ndarray, starts: np.ndarray, word: np.ndarray) -> bool:
@@ -301,24 +303,33 @@ def _all_spell(buf: np.ndarray, starts: np.ndarray, word: np.ndarray) -> bool:
 
 
 def _item_codes(block: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                index: dict[bytes, int]) -> np.ndarray:
-    # item numbers of a block's rows: only a row whose item field differs from
-    # the previous row's is decoded, and each run of one item repeats its number
-    head = np.ones(starts.size, dtype=bool)
-    head[1:] = lengths[1:] != lengths[:-1]
-    same = np.flatnonzero(~head)
-    n = lengths[same]
-    if n.sum():
-        # every item byte of those rows against the byte one line back
-        ends = np.cumsum(n)
-        at = np.arange(ends[-1]) + np.repeat(starts[same] - (ends - n), n)
-        back = at - np.repeat(starts[same] - starts[same - 1], n)
-        differ = np.flatnonzero(buf[at] != buf[back])
-        head[same[np.searchsorted(ends, differ, side="right")]] = True
-    heads = np.flatnonzero(head)
-    codes = [index.setdefault(block[lo:lo + k], len(index))
-             for lo, k in zip(starts[heads].tolist(), lengths[heads].tolist())]
-    return np.repeat(np.asarray(codes, dtype=np.int64), np.diff(heads, append=starts.size))
+                index: dict[bytes, int]) -> np.ndarray | None:
+    # item numbers of a block's rows in any row order: rows are grouped by a
+    # 64-bit hash of their item bytes, one token per group is decoded, and
+    # every row's bytes are checked against its group's (None on a collision)
+    ends = np.cumsum(lengths)
+    pos = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)   # place in its field
+    at = pos + np.repeat(starts, lengths)                             # place in the block
+    b = buf[at]
+    weights = _hash_weights(int(lengths.max()))
+    sums = np.zeros(at.size + 1, dtype=np.uint64)
+    np.cumsum((b.astype(np.uint64) + 1) * weights[pos], out=sums[1:])
+    _, first, group = np.unique(sums[ends] - sums[ends - lengths],
+                                return_index=True, return_inverse=True)
+    rep = first[group]
+    if ((lengths[rep] != lengths).any()
+            or (b != buf[pos + np.repeat(starts[rep], lengths)]).any()):
+        return None
+    codes = np.empty(first.size, dtype=np.int64)
+    for g in np.argsort(first).tolist():    # new tokens join `index` in file order
+        lo = int(starts[first[g]])
+        codes[g] = index.setdefault(block[lo:lo + int(lengths[first[g]])], len(index))
+    return codes[group]
+
+
+def _hash_weights(size: int) -> np.ndarray:
+    # fixed random uint64 weights, one per byte place in an item field
+    return np.random.default_rng(0).integers(1, 2**64 - 1, size=size, dtype=np.uint64)
 
 
 def write_event_log(log: EventLog, path) -> None:
@@ -558,7 +569,7 @@ def influence_cohort(log: EventLog, g: DirectedGraph, kind: str, *, window: int 
         return estimates
     N = int(log.user_ids().size) if active_users is None else active_users
     # the urn must hold the window's draws and every screened user's followers
-    if window > N:
+    if estimates and window > N:
         if active_users is None:
             raise ParameterError("window", f"{window} exceeds the log's {N} distinct users")
         raise ParameterError("active_users", f"{N} is below the window of {window}")

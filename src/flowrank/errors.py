@@ -25,8 +25,8 @@ class InputFormatError(FlowrankError):
 class ParameterError(FlowrankError, ValueError):
     """An argument value outside its domain, alone or for the data it meets.
 
-    `name` is the argument's keyword (`window`, `active_users`), which
-    the CLI turns into its flag to report a usage error.
+    `name` is the argument's keyword (`window`, `active_users`, `p_cut`);
+    the CLI reports the error as a usage error naming that argument's flag.
     """
 
     def __init__(self, name: str, message: str):

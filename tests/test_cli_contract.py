@@ -204,3 +204,14 @@ def test_a_screen_option_the_log_rules_out_is_a_usage_error(argv, flag):
             cli.main(argv)
     assert exc.value.code == 2 and stdout.getvalue() == ""
     assert stderr.getvalue().splitlines()[-1].startswith(f"flowrank: error: {flag} "), argv
+
+
+def test_an_empty_cohort_is_not_screened():
+    # no submitter has 1000 items, so no urn is drawn and the window is never checked
+    argv = ["influence", "--kind", "local", "--screen", "--window", "100000",
+            "--min-items", "1000", "--graph", str(DATA / "pipeline_graph.tsv"),
+            "--events", str(DATA / "pipeline_events.csv")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    assert len(stdout.getvalue().splitlines()) == 1     # the header alone

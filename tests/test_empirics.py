@@ -8,7 +8,6 @@ from flowrank import (
     EventLog,
     InputFormatError,
     NumericalError,
-    ParameterError,
     activity_entropies,
     build_graph,
     cascade_rounds,
@@ -27,6 +26,7 @@ from flowrank import (
     write_event_log,
 )
 from flowrank.empirics import _hypergeometric_tail
+from flowrank.errors import ParameterError
 
 from oracles import edges_ring, random_sc_edges, sequential_cascade
 
@@ -412,6 +412,9 @@ def test_influence_cohort_names_the_argument_the_urn_rules_out():
     # ten active users hold both; one follower rebroadcast in two draws is no surprise
     assert influence_cohort(log, g, "local", min_items=1, p_cut=0.5, window=2,
                             active_users=10) == {}
+    # with no submitter to screen, no urn is drawn and nothing is ruled out
+    for extra in (dict(window=5), dict(window=2, active_users=1)):
+        assert influence_cohort(log, g, "local", min_items=3, p_cut=0.5, **extra) == {}
 
 
 def _estimate(user, local=None, global_=None):

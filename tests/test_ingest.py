@@ -204,6 +204,7 @@ def _read_summary(path, mode):
          block=64, mode="digg")
 @example(data=f"{HEADER}\nitem,1,2,submit\nitem,2,3,rebroadcast\nitem,3,4,rebroadcast\n"
          "item,4,5,rebroadcast\n".encode(), block=20, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na\x00,2,3,submit\n".encode(), block=40, mode="digg")
 def test_event_log_blocks_agree_with_row_scanner(data, block, mode):
     with _file(data) as p:
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
@@ -224,6 +225,17 @@ def test_event_log_bulk_path_takes_plain_files(tmp_path):
     assert log.item_ids() == ["a", "b"]
     assert log.get("a").rebroadcast_users.tolist() == [2, 3]
     assert log.get("b").rebroadcast_times.tolist() == [20]
+
+
+def test_an_item_hash_collision_goes_to_the_scanner(tmp_path):
+    # with every weight 1 an item hashes to its byte sum, so 'ab' and 'ba' collide
+    p = tmp_path / "ev.csv"
+    p.write_text(f"{HEADER}\nab,0,10,submit\nba,1,11,submit\nab,2,12,rebroadcast\n")
+    with mock.patch.object(empirics, "_hash_weights", lambda size: np.ones(size, np.uint64)):
+        assert empirics._read_plain_event_log(p, "digg") is None
+        log = read_event_log(p)
+    assert log.item_ids() == ["ab", "ba"]
+    assert log.get("ab").rebroadcast_users.tolist() == [2]
 
 
 def test_event_log_violation_reports_scanner_line(tmp_path):
