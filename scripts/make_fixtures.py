@@ -26,6 +26,7 @@ from flowrank import (  # noqa: E402
     power_iteration,
     synthesize_event_log,
     threshold_sweep,
+    write_edge_list,
     write_event_log,
 )
 
@@ -51,10 +52,6 @@ def ring_plus_random(n: int, extra: int, seed: int) -> list[tuple[int, int]]:
     pairs = rng.integers(0, n, size=(extra, 2))
     edges.extend((int(a), int(b)) for a, b in pairs if a != b)
     return sorted(set(edges))
-
-
-def write_edges(path: Path, edges) -> None:
-    path.write_text("".join(f"{a}\t{b}\n" for a, b in edges), encoding="utf-8")
 
 
 def crossing_alpha(grid, fracs, level):
@@ -87,7 +84,7 @@ def make_threshold_fixture() -> dict:
         raise SystemExit(f"crossing {rel:.2%} from threshold; pick another seed")
     if ratio < 8.0:
         raise SystemExit(f"sub/supercritical contrast only {ratio:.1f}x")
-    write_edges(DATA / "threshold_graph.tsv", edges)
+    write_edge_list(DATA / "threshold_graph.tsv", edges)
     return {"nodes": cfg["nodes"], "lambda1": lam, "grid": grid,
             "sweep_seed": SWEEP["rng_seed"]}
 
@@ -127,7 +124,7 @@ def make_pipeline_fixture() -> dict:
     if report.entries[0].cohort_size < 5:
         raise SystemExit("cohort too small for a stable correlation")
 
-    write_edges(DATA / "pipeline_graph.tsv", edges)
+    write_edge_list(DATA / "pipeline_graph.tsv", edges)
     write_event_log(log, DATA / "pipeline_events.csv")
     meta = {"nodes": cfg["nodes"], "lambda1": lam, "transmissibility": p,
             "submitters": PIPELINE["submitters"],

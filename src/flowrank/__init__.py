@@ -30,8 +30,7 @@ from .graph import (DanglingPolicy, DirectedGraph, adjacency_apply, build_graph,
                     indegree_vector, load_edge_list, replication_apply,
                     transfer_apply, write_edge_list)
 from .spectral import (DenseEigenDecomposition, PathStats, SpectralEstimate,
-                       dense_eigendecompose, epidemic_threshold,
-                       expected_path_stats, is_acyclic, is_strongly_connected,
-                       power_iteration, spectral_radius)
+                       epidemic_threshold, expected_path_stats, is_acyclic,
+                       is_strongly_connected, power_iteration, spectral_radius)
 
 __version__ = "0.1.0"

@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import GAMMA, mix64_array, unit_floats
+from .rng import SLOT_EDGE_BASE, stream_values, unit_floats
 
 # The only kernel implementation; perfbench records this name in every result.
 BACKEND = "numpy"
-
-_G = np.uint64(GAMMA)
-_TWO = np.uint64(2)
 
 
 def gather_sum(indptr, indices, x):
@@ -91,7 +88,6 @@ def ic_spread(out_indptr, out_indices, seeds, p, base):
     joined = np.full(n, -1, np.int64)
     waiting = np.ones(n, bool)    # joined < 0, but a bool gathers about 3x faster
     slot = np.empty(n, np.int64)
-    base = np.uint64(base)
     filed = {}
     frontier = _distinct(np.asarray(seeds), slot)
     for k, pk in enumerate(grid):
@@ -116,7 +112,7 @@ def ic_spread(out_indptr, out_indices, seeds, p, base):
             # positions, not a mask: taking two arrays at them beats two masked copies
             fresh = np.flatnonzero(waiting[to])
             edge_idx, to = edge_idx[fresh], to[fresh]
-            coin = unit_floats(mix64_array(base + (edge_idx.astype(np.uint64) + _TWO) * _G))
+            coin = unit_floats(stream_values(base, edge_idx + SLOT_EDGE_BASE))
             opened = coin < pk
             later = np.flatnonzero(~opened & (coin < top))
             if later.size:

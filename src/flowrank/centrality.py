@@ -49,7 +49,6 @@ class Ranking:
 
     order: np.ndarray
     ranks: np.ndarray
-    tie_policy: str = "descending score, ties by ascending node id"
 
 
 def _starting_vector(g: DirectedGraph, s, default: str) -> tuple[np.ndarray, str]:
@@ -80,32 +79,31 @@ def pagerank(g: DirectedGraph, s=None, alpha: float = 0.85, tol: float = 1e-9,
 
 
 def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
-                     tol: float = 1e-9, max_iter: int = 100_000,
-                     guard: float = SPECTRAL_GUARD) -> CentralityScores:
+                     tol: float = 1e-9, max_iter: int = 100_000) -> CentralityScores:
     """Attenuated influence series cr = s (I - alpha A)^-1.
 
     The non-conservative accumulation with delta = 0 and x0 = s; s
     defaults to the indegree vector (e A). Defined below the spectral
-    bound only; alpha*lambda1 >= 1 - guard is rejected because the series
-    no longer converges at numerically usable rates there.
+    bound only; alpha*lambda1 >= 1 - SPECTRAL_GUARD is rejected because
+    the series no longer converges at numerically usable rates there.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     sv, origin = _starting_vector(g, s, "indegree")
-    if alpha * spectral_radius(g) >= 1.0 - guard:
+    if alpha * spectral_radius(g) >= 1.0 - SPECTRAL_GUARD:
         raise NumericalError("beyond spectral bound; use normalized variant")
     x = nonconservative_accumulate(g, sv, ProcessConfig(NONCONSERVATIVE, alpha),
                                    tol=tol, max_iter=max_iter)
     return CentralityScores("alpha", alpha, x, origin)
 
 
-def _normalized_alpha(g: DirectedGraph, alpha: float, tol: float, guard: float, origin: str,
+def _normalized_alpha(g: DirectedGraph, alpha: float, tol: float, origin: str,
                       series) -> CentralityScores:
     # the guard-band rule; series() is the Alpha-Centrality at alpha, used below the band
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("normalized alpha centrality requires alpha in [0, 1]")
     rho = alpha * spectral_radius(g)
-    if abs(rho - 1.0) <= guard:
+    if abs(rho - 1.0) <= SPECTRAL_GUARD:
         raise NumericalError("at spectral singularity")
     if rho > 1.0:
         values = power_iteration(g, tol=min(tol, 1e-10)).eigvec
@@ -119,8 +117,7 @@ def _normalized_alpha(g: DirectedGraph, alpha: float, tol: float, guard: float, 
 
 
 def normalized_alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
-                                tol: float = 1e-9,
-                                guard: float = SPECTRAL_GUARD) -> CentralityScores:
+                                tol: float = 1e-9) -> CentralityScores:
     """L1-normalized Alpha-Centrality, defined across the spectral bound.
 
     Subcritical alpha normalizes the convergent series; supercritical
@@ -130,8 +127,8 @@ def normalized_alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
     guard band of 1/lambda1 are rejected.
     """
     _, origin = _starting_vector(g, s, "indegree")
-    return _normalized_alpha(g, alpha, tol, guard, origin,
-                             lambda: alpha_centrality(g, s, alpha=alpha, tol=tol, guard=guard))
+    return _normalized_alpha(g, alpha, tol, origin,
+                             lambda: alpha_centrality(g, s, alpha=alpha, tol=tol))
 
 
 def eigenvector_centrality(g: DirectedGraph, tol: float = 1e-10,
@@ -174,7 +171,7 @@ def _sweep_cells(g: DirectedGraph, measures: list[str], alphas, tol: float):
         scorers = {"pagerank": functools.partial(pagerank, g, alpha=alpha, tol=tol),
                    "alpha": series,
                    "normalized_alpha": functools.partial(_normalized_alpha, g, alpha, tol,
-                                                         SPECTRAL_GUARD, "indegree", series),
+                                                         "indegree", series),
                    "eigenvector": functools.partial(eigenvector_centrality, g),
                    "indegree": functools.partial(degree_centrality, g, "in"),
                    "outdegree": functools.partial(degree_centrality, g, "out")}

@@ -200,9 +200,8 @@ def cascade_rounds(g: DirectedGraph, seeds, transmissibility: float,
                    rng_seed: int, trial: int = 0) -> np.ndarray:
     """Round at which each node joins the cascade (-1 never, 0 seed)."""
     arr = _check_cascade_args(g, seeds, transmissibility)
-    base = np.uint64(trial_base(rng_seed, trial))
     return _kernels.ic_spread(g.out_indptr, g.out_indices, arr,
-                              float(transmissibility), base)
+                              float(transmissibility), trial_base(rng_seed, trial))
 
 
 def threshold_sweep(g: DirectedGraph, grid, trials: int, rng_seed: int) -> list[CascadeRunStats]:
@@ -228,11 +227,10 @@ def threshold_sweep(g: DirectedGraph, grid, trials: int, rng_seed: int) -> list[
     fractions = np.empty((len(grid), trials))
     seeds = np.empty(1, dtype=np.int64)
     for j in range(trials):
-        base_int = trial_base(rng_seed, j)
-        u = unit_float(stream_value(base_int, SLOT_SEED_NODE))
+        base = trial_base(rng_seed, j)
+        u = unit_float(stream_value(base, SLOT_SEED_NODE))
         seeds[0] = min(int(u * n), n - 1)
-        level = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, ascending,
-                                   np.uint64(base_int))
+        level = _kernels.ic_spread(g.out_indptr, g.out_indices, seeds, ascending, base)
         reached = np.cumsum(np.bincount(level[level >= 0], minlength=len(grid)))
         fractions[order, j] = reached / n
     means = fractions.mean(axis=1)

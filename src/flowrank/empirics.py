@@ -35,6 +35,7 @@ _HEADER_LINE = ",".join(EVENT_LOG_HEADER).encode()
 _ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _SUBMIT, _REBROADCAST = (np.frombuffer(w, dtype=np.uint8) for w in (b"submit", b"rebroadcast"))
 _INT64_MAX = 2**63 - 1
+_MAX_GAP_EXP = 16.0     # synthetic timestamp gaps are log-uniform below 2**_MAX_GAP_EXP
 
 
 @dataclass(frozen=True)
@@ -160,11 +161,11 @@ def from_records(records, mode: str = "digg") -> EventLog:
 def read_event_log(path, mode: str = "digg") -> EventLog:
     """Read the CSV event-log format (header item_id,user_id,timestamp,kind).
 
-    Plain files (exactly that header, no blank line, quote, space, tab or
-    carriage return, and user ids and timestamps of 1 to 18 digits) are
-    parsed in numpy blocks and validated with array checks. Any other
-    file, and any file that fails a check, is read again row by row, so
-    errors name their line.
+    Plain files (exactly that header, no blank line but those that end
+    the file, no quote, space, tab or carriage return, and user ids and
+    timestamps of 1 to 18 digits) are parsed in numpy blocks and
+    validated with array checks. Any other file, and any file that fails
+    a check, is read again row by row, so errors name their line.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -248,10 +249,6 @@ def _read_plain_event_log(path, mode: str) -> EventLog | None:
     if not rising.all():
         return None
 
-    # rebroadcasts sort by (time, user); np.sort of one int64 key time*span + user,
-    # used when it fits, is an order of magnitude faster than lexsort
-    span = int(users.max()) + 1
-    one_key = int(times.max()) < _INT64_MAX // span
     items = []
     for k, item_id in enumerate(item_ids):
         lo, hi = int(starts[k]), int(starts[k + 1])
@@ -260,9 +257,8 @@ def _read_plain_event_log(path, mode: str) -> EventLog | None:
             if (seen[1:] == seen[:-1]).any():
                 return None
         u, t = users[lo + 1:hi], times[lo + 1:hi]
-        if one_key:
-            t, u = np.divmod(np.sort(t * span + u), span)
-        else:
+        # rebroadcasts sort by (time, user); times already rise, so only ties need sorting
+        if (t[1:] == t[:-1]).any():
             o = np.lexsort((u, t))
             u, t = u[o], t[o]
         items.append(ItemEvents(item_id=item_id, submitter=int(users[lo]),
@@ -663,8 +659,8 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
 
 def synthesize_event_log(g: DirectedGraph, submitters, items_per_submitter: int,
                          transmissibility: float, rng_seed: int, *, mode: str = "digg",
-                         start_time: int = 1_000_000, item_spacing: int = 10_000_000,
-                         max_gap_exp: float = 16.0) -> EventLog:
+                         start_time: int = 1_000_000,
+                         item_spacing: int = 10_000_000) -> EventLog:
     """Generate an event log by broadcasting cascades over the graph.
 
     Each item seeds an independent cascade at its submitter; because
@@ -691,7 +687,7 @@ def synthesize_event_log(g: DirectedGraph, submitters, items_per_submitter: int,
             times = np.empty(others.size, dtype=np.int64)
             for j in range(others.size):
                 u01 = unit_float(stream_value(base, slot_floor + j))
-                t += 1 + int(2.0 ** (u01 * max_gap_exp))
+                t += 1 + int(2.0 ** (u01 * _MAX_GAP_EXP))
                 times[j] = t
             items.append(ItemEvents(item_id=f"item{trial:04d}", submitter=submitter,
                                     submit_time=t0,

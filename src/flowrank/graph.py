@@ -90,14 +90,15 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
     """Build an immutable graph from an iterable of (src, dst) pairs.
 
     Duplicate edges collapse to one, self-loops are dropped, and ids must
-    be nonnegative. With `node_count` unset the graph spans 0..max id;
-    ids at or above an explicit `node_count` are an error, and so is a
-    node count above MAX_NODES.
+    be nonnegative integers (1.0 is accepted, 1.5 is not). With
+    `node_count` unset the graph spans 0..max id; ids at or above an
+    explicit `node_count` are an error, and so is a node count above
+    MAX_NODES.
 
     Edges are ordered by sorting the 1-D keys src*n + dst and dst*n + src,
     which is why n*n must fit in int64.
     """
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    arr = _edge_array(edges)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -147,6 +148,19 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
         out_degree=out_degree,
         in_degree=in_degree,
     )
+
+
+def _edge_array(edges) -> np.ndarray:
+    """edges as an int64 array; ValueError for an id that int64 cannot hold exactly.
+
+    Integral floats such as 1.0 pass; 1.5, nan and inf do not.
+    """
+    given = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+    with np.errstate(invalid="ignore"):     # nan and inf cast to garbage, caught below
+        arr = given.astype(np.int64, copy=False)
+    if arr is not given and (arr != given).any():
+        raise ValueError(f"node id {given[arr != given][0]} is not an int64 integer")
+    return arr
 
 
 def _as_weight_vector(g: DirectedGraph, x) -> np.ndarray:
@@ -222,10 +236,11 @@ def load_edge_list(path) -> tuple[DirectedGraph, list[str] | None]:
     <input>.nodemap.tsv (label<TAB>index). Returns (graph, labels or None).
 
     Plain digits<TAB>digits lines, after any leading lines that start
-    with '#', are parsed in numpy blocks. Labels, comment or blank lines
-    after that header, carriage returns, and ids of more than 18 digits
-    send the file to a line-by-line scanner, which gives the same result
-    and names the line of an error.
+    with '#', are parsed in numpy blocks; empty lines that end the file
+    are skipped. Labels, comment lines after that header, any other blank
+    line, carriage returns, and ids of more than 18 digits send the file
+    to a line-by-line scanner, which gives the same result and names the
+    line of an error.
     """
     path = Path(path)
     try:
@@ -248,13 +263,26 @@ def load_edge_list(path) -> tuple[DirectedGraph, list[str] | None]:
 
 
 def _line_blocks(fh):
-    """Blocks of about _BLOCK_BYTES from a binary file, each ending in a newline."""
+    """Blocks of about _BLOCK_BYTES from a binary file, each ending in a newline.
+
+    A block's trailing run of empty lines is carried to the next block
+    and dropped at the end of the file, so the empty lines that end many
+    files do not fail the last block. A run followed by data still does.
+    """
+    run = b""
     while block := fh.read(_BLOCK_BYTES):
         if not block.endswith(b"\n"):
             block += fh.readline()
             if not block.endswith(b"\n"):
                 block += b"\n"
-        yield block
+        if run:
+            block, run = run + block, b""
+        if block.endswith(b"\n\n"):
+            body = block.rstrip(b"\n")
+            cut = len(body) + 1 if body else 0      # keep the newline that ends the last line
+            block, run = block[:cut], block[cut:]
+        if block:
+            yield block
 
 
 def _digit_fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
@@ -359,7 +387,7 @@ def _scan_edge_list(path: Path) -> tuple[np.ndarray, list[str] | None]:
 
 def write_edge_list(path, edges) -> None:
     """Write integer (src, dst) pairs as the TSV format load_edge_list reads."""
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    arr = _edge_array(edges)
     with open(path, "w", encoding="utf-8") as fh:
         for a, b in arr:
             fh.write(f"{int(a)}\t{int(b)}\n")

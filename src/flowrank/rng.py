@@ -38,7 +38,11 @@ def mix64(z: int) -> int:
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized mix64 on a uint64 array (wraparound is silent for arrays)."""
-    z = z.astype(np.uint64, copy=True)
+    return _mix64_inplace(z.astype(np.uint64, copy=True))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    # mix64 over a uint64 array the caller owns, overwriting it
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -65,9 +69,13 @@ def stream_value(base: int, slot: int) -> int:
 
 
 def stream_values(base: int, slots: np.ndarray) -> np.ndarray:
-    """Vectorized stream_value for a uint64 slot array."""
-    z = np.uint64(base & MASK64) + slots.astype(np.uint64) * np.uint64(GAMMA)
-    return mix64_array(z)
+    """Vectorized stream_value for an integer slot array."""
+    # one working copy, mixed in place: each fresh array of a large slot
+    # array costs about as much as the arithmetic on it
+    z = slots.astype(np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(base & MASK64)
+    return _mix64_inplace(z)
 
 
 def unit_float(bits: int) -> float:

@@ -18,6 +18,7 @@ from .errors import ConvergenceError, NumericalError
 from .graph import DirectedGraph, adjacency_apply
 
 DENSE_CAP = 64
+_MAX_TERMS = 100_000        # an infinite-horizon walk series stops after this many terms
 
 _STALL_WINDOW = 100
 _STALL_IMPROVEMENT = 1e-6
@@ -153,9 +154,9 @@ class DenseEigenDecomposition:
 
     _COND_LIMIT = 1e12
 
-    def __init__(self, g: DirectedGraph, cap: int = DENSE_CAP):
-        if g.node_count > cap:
-            raise ValueError(f"dense cap exceeded: {g.node_count} > {cap}")
+    def __init__(self, g: DirectedGraph):
+        if g.node_count > DENSE_CAP:
+            raise ValueError(f"dense cap exceeded: {g.node_count} > {DENSE_CAP}")
         a = np.zeros((g.node_count, g.node_count))
         e = g.edges()
         if e.size:
@@ -167,7 +168,6 @@ class DenseEigenDecomposition:
         self.condition = float(np.linalg.cond(self.right_vectors))
         self.diagonalizable = bool(np.isfinite(self.condition)
                                    and self.condition < self._COND_LIMIT)
-        self._adjacency = a
         self._inverse = (np.linalg.inv(self.right_vectors)
                          if self.diagonalizable else None)
 
@@ -188,10 +188,6 @@ class DenseEigenDecomposition:
         return (self.right_vectors * self.eigenvalues) @ self._inverse
 
 
-def dense_eigendecompose(g: DirectedGraph, cap: int = DENSE_CAP) -> DenseEigenDecomposition:
-    return DenseEigenDecomposition(g, cap=cap)
-
-
 def spectral_radius(g: DirectedGraph) -> float:
     """|lambda1| by the cheapest reliable route, once per graph.
 
@@ -205,7 +201,7 @@ def spectral_radius(g: DirectedGraph) -> float:
         if is_acyclic(g):
             lam = 0.0
         elif g.node_count <= DENSE_CAP:
-            lam = dense_eigendecompose(g).lambda1
+            lam = DenseEigenDecomposition(g).lambda1
         else:
             lam = power_iteration(g).lambda1
         _LAMBDA1[g] = lam
@@ -221,8 +217,7 @@ def epidemic_threshold(g: DirectedGraph) -> float:
 
 
 def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = None,
-                        method: str = "auto", tol: float = 1e-12,
-                        max_terms: int = 100_000) -> PathStats:
+                        method: str = "auto", tol: float = 1e-12) -> PathStats:
     """Attenuated walk-count series and its mean length.
 
     Accumulates terms t_k = alpha^k * (number of length-k walks), k from
@@ -234,7 +229,9 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
     method: "series" forces explicit accumulation of the length mean;
     "closed-form" forces 1/(1 - alpha*lambda1); "auto" uses the closed
     form only where its derivation holds (infinite horizon, strongly
-    connected, subcritical) and the series otherwise.
+    connected, subcritical) and the series otherwise. An infinite
+    horizon or the closed form raises NumericalError at or above the
+    spectral bound alpha*lambda1 = 1.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -244,10 +241,8 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
         raise ValueError("horizon must be >= 0")
 
     infinite = horizon is None
-    rho = None
     if infinite or method == "closed-form":
         rho = alpha * spectral_radius(g)
-    if infinite:
         # the band straddles 1: dense/power estimates land 1 ulp either side
         if abs(1.0 - rho) < 1e-12:
             raise NumericalError("attenuation at the spectral singularity: series diverges")
@@ -258,7 +253,7 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
     paths = float(w.sum())
     length_num = 0.0
     length_den = 0.0
-    cap = horizon if horizon is not None else max_terms
+    cap = horizon if horizon is not None else _MAX_TERMS
     for k in range(1, cap + 1):
         w = alpha * adjacency_apply(g, w)
         term = float(w.sum())
@@ -273,12 +268,7 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
     # alpha = 0 leaves no positive-length terms: the mean is 0 whatever
     # the method, and the closed form's 1/(1-0) would be meaningless.
     if alpha > 0.0 and (method == "closed-form"
-                        or (method == "auto" and infinite and rho < 1.0
-                            and is_strongly_connected(g))):
-        if abs(1.0 - rho) < 1e-12:
-            raise NumericalError("attenuation at the spectral singularity: series diverges")
-        if rho > 1.0:
-            raise NumericalError("supercritical: finite horizon required")
+                        or (method == "auto" and infinite and is_strongly_connected(g))):
         length = 1.0 / (1.0 - rho)
         used = "closed-form"
     else:

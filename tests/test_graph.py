@@ -71,6 +71,15 @@ def test_build_graph_rejects_bad_input():
         build_graph([(0, 5)], node_count=3)
 
 
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, 1e30])
+def test_build_graph_rejects_non_integral_ids(bad):
+    with pytest.raises(ValueError, match="is not an int64 integer"):
+        build_graph([(0, bad), (1, 2)])
+    with pytest.raises(ValueError, match="is not an int64 integer"):
+        build_graph(np.array([[0.0, bad], [1.0, 2.0]]))
+    assert build_graph([(0, 1.0), (1, 2.0)]).edges().tolist() == [[0, 1], [1, 2]]
+
+
 def _unique_lexsort_build(edges, node_count):
     # the construction build_graph used before its sorted 1-D keys, kept as the oracle
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -264,6 +273,14 @@ def test_load_edge_list_rejects_ids_at_the_limit(tmp_path, big):
 def test_load_edge_list_missing_file(tmp_path):
     with pytest.raises(InputFormatError):
         load_edge_list(tmp_path / "nope.tsv")
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+def test_write_edge_list_rejects_non_integral_ids(tmp_path, bad):
+    with pytest.raises(ValueError, match="is not an int64 integer"):
+        write_edge_list(tmp_path / "bad.tsv", [(0, bad), (1, 2)])
+    write_edge_list(tmp_path / "ok.tsv", [(0, 1.0), (1, 2.0)])
+    assert (tmp_path / "ok.tsv").read_text() == "0\t1\n1\t2\n"
 
 
 def test_write_then_load_round_trip(tmp_path):

@@ -98,6 +98,10 @@ def _graph_summary(path):
 @example(data=b"# a\r1\t2\n0\t1\n", block=24)                   # a bare \r ends the comment
 @example(data=b"#\xff\n0\t1\n", block=24)
 @example(data=b"0\t1\n# c\n1\t2\n", block=24)
+@example(data=b"0\t1\n1\t2\n\n", block=8)                       # an empty last line
+@example(data=b"0\t1\n1\t2\n\n\n", block=9)                     # empty lines split by blocks
+@example(data=b"0\t1\n\n\n1\t2\n", block=5)                     # empty lines, then data
+@example(data=b"\n\n", block=1)
 def test_edge_list_blocks_agree_with_line_scanner(data, block):
     with _file(data) as p:
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
@@ -205,6 +209,17 @@ def _read_summary(path, mode):
 @example(data=f"{HEADER}\nitem,1,2,submit\nitem,2,3,rebroadcast\nitem,3,4,rebroadcast\n"
          "item,4,5,rebroadcast\n".encode(), block=20, mode="digg")
 @example(data=f"{HEADER}\na,1,2,submit\na\x00,2,3,submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,rebroadcast\n\n".encode(), block=31, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,rebroadcast\n\n\n".encode(), block=32, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\n\n\na,2,3,rebroadcast\n".encode(), block=14, mode="digg")
+@example(data=f"{HEADER}\na,5,1,submit\na,3,2,rebroadcast\na,1,2,rebroadcast\na,4,3,rebroadcast\n"
+         .encode(), block=40, mode="digg")             # tied times, users out of file order
+@example(data=f"{HEADER}\na,5,1,submit\na,3,2,rebroadcast\na,3,2,rebroadcast\n".encode(),
+         block=40, mode="twitter")                     # one user twice at one time
+@example(data=f"{HEADER}\na,9,{10**18 - 1},submit\na,9,{10**18 - 1},rebroadcast\n"
+         f"a,3,{10**18 - 1},rebroadcast\n".encode(), block=64, mode="twitter")
+@example(data=f"{HEADER}\na,1,{2**63 - 1},submit\na,3,{2**63 - 1},rebroadcast\n"
+         f"a,2,{2**63 - 1},rebroadcast\n".encode(), block=40, mode="digg")
 def test_event_log_blocks_agree_with_row_scanner(data, block, mode):
     with _file(data) as p:
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
@@ -291,15 +306,23 @@ def test_fixtures_and_written_logs_never_reach_the_scanners(tmp_path):
     snap.write_bytes(b"# Directed graph\n# FromNodeId\tToNodeId\n"
                      + (DATA / "pipeline_graph.tsv").read_bytes())
     written = tmp_path / "synth.csv"
+    # many editors end a file with an empty line
+    padded_graph, padded_log = tmp_path / "padded.tsv", tmp_path / "padded.csv"
+    padded_graph.write_bytes((DATA / "pipeline_graph.tsv").read_bytes() + b"\n\n")
+    padded_log.write_bytes((DATA / "pipeline_events.csv").read_bytes() + b"\n\n")
     with mock.patch.object(graph, "_scan_edge_list", _refuse), \
             mock.patch.object(empirics, "_scan_event_log", _refuse):
         g, labels = load_edge_list(DATA / "pipeline_graph.tsv")
         with_header, _ = load_edge_list(snap)
+        padded, _ = load_edge_list(padded_graph)
         load_edge_list(DATA / "threshold_graph.tsv")
         log = read_event_log(DATA / "pipeline_events.csv")
+        padded_back = read_event_log(padded_log)
         synth = synthesize_event_log(g, [0, 5, 11], 2, 0.4, rng_seed=3)
         write_event_log(synth, written)
         back = read_event_log(written)
     assert labels is None and len(log) > 0
     assert with_header.edges().tolist() == g.edges().tolist()
+    assert padded.edges().tolist() == g.edges().tolist()
+    assert _log_summary(padded_back) == _log_summary(log)
     assert _log_summary(back) == _log_summary(synth)

@@ -4,9 +4,9 @@ import pytest
 
 from flowrank import (
     ConvergenceError,
+    DenseEigenDecomposition,
     NumericalError,
     build_graph,
-    dense_eigendecompose,
     epidemic_threshold,
     expected_path_stats,
     is_acyclic,
@@ -77,20 +77,20 @@ def test_power_iteration_on_nilpotent_graph_returns_zero():
 
 def test_dense_eigendecompose_orders_and_reconstructs():
     edges = random_sc_edges(30, 90, seed=11)
-    dec = dense_eigendecompose(build_graph(edges))
+    dec = DenseEigenDecomposition(build_graph(edges))
     mags = np.abs(dec.eigenvalues)
     assert np.all(np.diff(mags) <= 1e-12)
     assert np.max(np.abs(dec.reconstruct() - dense_adjacency(edges, 30))) < 1e-8
 
 
 def test_dense_projectors_sum_to_identity():
-    dec = dense_eigendecompose(build_graph(edges_ring(5)))
+    dec = DenseEigenDecomposition(build_graph(edges_ring(5)))
     total = sum(dec.projector(i) for i in range(5))
     assert np.max(np.abs(total - np.eye(5))) < 1e-10
 
 
 def test_defective_matrix_refuses_projectors_but_keeps_eigenvalues():
-    dec = dense_eigendecompose(build_graph(edges_chain(4)))
+    dec = DenseEigenDecomposition(build_graph(edges_chain(4)))
     assert not dec.diagonalizable
     assert np.max(np.abs(dec.eigenvalues)) < 1e-8
     with pytest.raises(NumericalError, match="non-diagonalizable"):
@@ -102,7 +102,7 @@ def test_defective_matrix_refuses_projectors_but_keeps_eigenvalues():
 def test_dense_cap_enforced():
     g = build_graph(edges_ring(70))
     with pytest.raises(ValueError, match="dense cap exceeded"):
-        dense_eigendecompose(g)
+        DenseEigenDecomposition(g)
     # spectral_radius falls back to power iteration above the cap
     assert abs(spectral_radius(g) - 1.0) < 1e-9
 
@@ -196,6 +196,15 @@ def test_path_stats_rejects_singularity():
     g = build_graph(edges_ring(3))
     with pytest.raises(NumericalError, match="singularity"):
         expected_path_stats(g, alpha=1.0)
+
+
+def test_path_stats_closed_form_is_bounded_at_any_horizon():
+    g = build_graph(edges_complete(4))  # lambda1 = 3
+    with pytest.raises(NumericalError, match="singularity"):
+        expected_path_stats(g, 1.0 / 3.0, horizon=5, method="closed-form")
+    with pytest.raises(NumericalError, match="supercritical"):
+        expected_path_stats(g, 0.5, horizon=5, method="closed-form")
+    assert expected_path_stats(g, 0.5, horizon=5, method="series").method == "series"
 
 
 def test_path_stats_acyclic_series_is_finite_sum():
