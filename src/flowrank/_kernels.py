@@ -133,7 +133,8 @@ def replay_joins(in_indptr, in_indices, source, users):
     from the in-CSR. Each node's join J starts at "never". In a pass,
     every node p whose J fell offers each follower u the first position
     of u after J[p], and J[u] keeps the smallest offer; passes repeat
-    until no J falls. Only users with repeat events need more than their
+    until no J falls. The next frontier is the nodes whose J fell,
+    deduplicated through an n-slot marker as in ic_spread. Only users with repeat events need more than their
     first position: they find the next one by binary search over sorted
     user·(m+1) + position keys, which fit in int64 while the node count
     times m + 1 does.
@@ -152,7 +153,7 @@ def replay_joins(in_indptr, in_indices, source, users):
                          np.iinfo(np.int64).max)
     joined = np.full(n, never, np.int64)
     joined[source] = -1
-    fell = np.zeros(n, bool)
+    slot = np.empty(n, np.int64)
     frontier = np.asarray([source], np.int64)
     while frontier.size:
         starts = in_indptr[frontier]
@@ -170,7 +171,5 @@ def replay_joins(in_indptr, in_indices, source, users):
         better = offer < joined[to]
         to, offer = to[better], offer[better]
         np.minimum.at(joined, to, offer)
-        fell[to] = True
-        frontier = np.flatnonzero(fell)
-        fell[frontier] = False
+        frontier = _distinct(to, slot)
     return np.sort(joined[(joined >= 0) & (joined < never)])

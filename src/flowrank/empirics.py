@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .centrality import sweep
 from .dynamics import cascade_rounds
 from .errors import InputFormatError, NumericalError, ParameterError
-from .graph import DirectedGraph, _digit_fields, _field_table, _line_blocks
+from .graph import DirectedGraph, _digit_fields, _line_blocks
 from .rng import SLOT_EDGE_BASE, stream_value, trial_base, unit_float
 
 MODES = ("digg", "twitter")
@@ -33,7 +32,11 @@ EVENT_LOG_HEADER = ("item_id", "user_id", "timestamp", "kind")
 
 _HEADER_LINE = ",".join(EVENT_LOG_HEADER).encode()
 _ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
-_SUBMIT, _REBROADCAST = (np.frombuffer(w, dtype=np.uint8) for w in (b"submit", b"rebroadcast"))
+# kinds as little-endian 64-bit words: the top 6 bytes of the word that
+# ends `submit`, and the words that start and end `rebroadcast`
+_SUBMIT_TOP, _REBROADC, _ROADCAST = (np.uint64(int.from_bytes(w, "little"))
+                                     for w in (b"submit", b"rebroadc", b"roadcast"))
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _INT64_MAX = 2**63 - 1
 _MAX_GAP_EXP = 16.0     # synthetic timestamp gaps are log-uniform below 2**_MAX_GAP_EXP
 
@@ -273,6 +276,15 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
     New item tokens are added to `index`. A plain block has no quote,
     space, tab or carriage return, three commas on every line, known
     kinds, and user ids and timestamps of 1 to 18 ASCII digits.
+
+    Each column's starts and lengths are built contiguous from the
+    separators. Kinds are checked by length, 6 or 11, and digit fields
+    are not empty, so every row holds at least 12 bytes: a stride-1 view
+    of little-endian 64-bit words then loads the 8 bytes that end a row,
+    or start anywhere in its item field, without leaving the block.
+    `submit` is the top 6 bytes of the word that ends its row, and
+    `rebroadcast` that word (`roadcast`) plus the one 11 bytes before the
+    row's newline (`rebroadc`).
     """
     if b'"' in block or b" " in block or b"\t" in block or b"\r" in block:
         return None
@@ -280,51 +292,64 @@ def _plain_event_columns(block: bytes, index: dict[bytes, int]):
     seps = np.flatnonzero((buf == 44) | (buf == 10))
     if seps.size % 4 or (buf[seps].reshape(-1, 4) != _ROW_SEPS).any():
         return None
-    starts, lengths = (a.reshape(-1, 4) for a in _field_table(seps))
-    users = _digit_fields(buf, starts[:, 1], lengths[:, 1])
-    times = _digit_fields(buf, starts[:, 2], lengths[:, 2])
-    submit = lengths[:, 3] == _SUBMIT.size
-    if (users is None or times is None
-            or not (submit | (lengths[:, 3] == _REBROADCAST.size)).all()
-            or not _all_spell(buf, starts[submit, 3], _SUBMIT)
-            or not _all_spell(buf, starts[~submit, 3], _REBROADCAST)):
+    item_end, user_end, time_end, row_end = seps.reshape(-1, 4).T.copy()
+    kind_len = row_end - time_end - 1
+    submit = kind_len == 6
+    if not (submit | (kind_len == 11)).all():
         return None
-    codes = _item_codes(block, buf, starts[:, 0], lengths[:, 0], index)
+    users = _digit_fields(buf, item_end + 1, user_end - item_end - 1)
+    times = _digit_fields(buf, user_end + 1, time_end - user_end - 1)
+    if users is None or times is None:
+        return None
+    words = np.ndarray((len(block) - 7,), "<u8", buffer=block, strides=(1,))
+    last, first = words[row_end - 8], words[row_end - 11]
+    if not np.where(submit, last >> np.uint64(16) == _SUBMIT_TOP,
+                    (last == _ROADCAST) & (first == _REBROADC)).all():
+        return None
+    item_start = np.zeros_like(row_end)
+    item_start[1:] = row_end[:-1] + 1
+    codes = _item_codes(block, words, item_start, item_end - item_start, index)
     return None if codes is None else (codes, users, times, submit)
 
 
-def _all_spell(buf: np.ndarray, starts: np.ndarray, word: np.ndarray) -> bool:
-    # whether the word.size bytes at each start spell word
-    return not starts.size or bool((sliding_window_view(buf, word.size)[starts] == word).all())
-
-
-def _item_codes(block: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+def _item_codes(block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                 index: dict[bytes, int]) -> np.ndarray | None:
-    # item numbers of a block's rows in any row order: rows are grouped by a
-    # 64-bit hash of their item bytes, one token per group is decoded, and
-    # every row's bytes are checked against its group's (None on a collision)
-    ends = np.cumsum(lengths)
-    pos = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)   # place in its field
-    at = pos + np.repeat(starts, lengths)                             # place in the block
-    b = buf[at]
-    weights = _hash_weights(int(lengths.max()))
-    sums = np.zeros(at.size + 1, dtype=np.uint64)
-    np.cumsum((b.astype(np.uint64) + 1) * weights[pos], out=sums[1:])
-    _, first, group = np.unique(sums[ends] - sums[ends - lengths],
-                                return_index=True, return_inverse=True)
+    """Item numbers of a block's rows, in any row order; None on a hash collision.
+
+    `words` is the block's stride-1 view of 64-bit words. A row's item
+    hashes to the sum of its 8-byte words, each masked to the field's
+    bytes and weighted by _hash_weights, plus its length times the last
+    weight. Only run heads, rows whose hash differs from the previous
+    row's, are grouped by np.unique, and every row's words and length
+    are checked against its group's first row. One token per group is
+    decoded, and new tokens join `index` in file order.
+    """
+    size = -(-int(lengths.max()) // 8)
+    weights = _hash_weights(size + 1)
+    parts = []
+    hashes = lengths.astype(np.uint64) * weights[size]
+    for j in range(size):
+        # a word with bytes left starts inside the item field; one past it is masked to 0
+        at = np.minimum(starts + 8 * j, words.size - 1) if j else starts
+        part = words[at] & _LOW_BYTES[np.clip(lengths - 8 * j, 0, 8)]
+        hashes += part * weights[j]
+        parts.append(part)
+    head = np.flatnonzero(np.r_[True, hashes[1:] != hashes[:-1]])
+    _, at_head, group = np.unique(hashes[head], return_index=True, return_inverse=True)
+    first = head[at_head]       # each group's first row
+    group = np.repeat(group, np.diff(np.r_[head, hashes.size]))
     rep = first[group]
-    if ((lengths[rep] != lengths).any()
-            or (b != buf[pos + np.repeat(starts[rep], lengths)]).any()):
+    if (lengths[rep] != lengths).any() or any((part[rep] != part).any() for part in parts):
         return None
     codes = np.empty(first.size, dtype=np.int64)
-    for g in np.argsort(first).tolist():    # new tokens join `index` in file order
+    for g in np.argsort(first).tolist():
         lo = int(starts[first[g]])
         codes[g] = index.setdefault(block[lo:lo + int(lengths[first[g]])], len(index))
     return codes[group]
 
 
 def _hash_weights(size: int) -> np.ndarray:
-    # fixed random uint64 weights, one per byte place in an item field
+    # fixed random uint64 weights: one per 8-byte word of an item field, then its length's
     return np.random.default_rng(0).integers(1, 2**64 - 1, size=size, dtype=np.uint64)
 
 

@@ -23,8 +23,9 @@ from .errors import InputFormatError
 _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
 # Largest node count whose sort keys n*n fit in int64 (see build_graph).
 MAX_NODES = 3_037_000_499
-_BLOCK_BYTES = 1 << 22      # load_edge_list reads the file in blocks of this size
+_BLOCK_BYTES = 1 << 20      # load_edge_list reads the file in blocks of this size
 _MAX_DIGITS = 18            # every decimal of this many digits fits in int64
+_WRITE_ROWS = 1 << 16       # write_edge_list formats this many rows per write
 
 
 class DanglingPolicy(enum.Enum):
@@ -99,10 +100,6 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
     which is why n*n must fit in int64.
     """
     arr = _edge_array(edges)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("edges must be (src, dst) pairs")
     if arr.size and arr.min() < 0:
         raise ValueError("negative node id")
     keep = arr[:, 0] != arr[:, 1]
@@ -151,7 +148,7 @@ def build_graph(edges, node_count: int | None = None) -> DirectedGraph:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """edges as an int64 array; ValueError for an id that int64 cannot hold exactly.
+    """edges as an (E, 2) int64 array; ValueError for an id that int64 cannot hold exactly.
 
     Integral floats such as 1.0 pass; 1.5, nan and inf do not.
     """
@@ -160,6 +157,10 @@ def _edge_array(edges) -> np.ndarray:
         arr = given.astype(np.int64, copy=False)
     if arr is not given and (arr != given).any():
         raise ValueError(f"node id {given[arr != given][0]} is not an int64 integer")
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be (src, dst) pairs")
     return arr
 
 
@@ -386,8 +387,11 @@ def _scan_edge_list(path: Path) -> tuple[np.ndarray, list[str] | None]:
 
 
 def write_edge_list(path, edges) -> None:
-    """Write integer (src, dst) pairs as the TSV format load_edge_list reads."""
+    """Write integer (src, dst) pairs as the TSV format load_edge_list reads.
+
+    Rows are formatted _WRITE_ROWS at a time; no edges write an empty file.
+    """
     arr = _edge_array(edges)
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b in arr:
-            fh.write(f"{int(a)}\t{int(b)}\n")
+        for lo in range(0, arr.shape[0], _WRITE_ROWS):
+            fh.write("".join(map("{}\t{}\n".format, *arr[lo:lo + _WRITE_ROWS].T.tolist())))

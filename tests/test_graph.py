@@ -1,4 +1,6 @@
 """Graph construction, CSR operators vs dense oracles, and edge-list IO."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -15,6 +17,7 @@ from flowrank import (
     transfer_apply,
     write_edge_list,
 )
+from flowrank import graph
 from flowrank.graph import MAX_NODES
 
 from oracles import (
@@ -27,6 +30,8 @@ from oracles import (
     random_edges,
     random_sc_edges,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _rand_vec(n, seed):
@@ -281,6 +286,26 @@ def test_write_edge_list_rejects_non_integral_ids(tmp_path, bad):
         write_edge_list(tmp_path / "bad.tsv", [(0, bad), (1, 2)])
     write_edge_list(tmp_path / "ok.tsv", [(0, 1.0), (1, 2.0)])
     assert (tmp_path / "ok.tsv").read_text() == "0\t1\n1\t2\n"
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+@pytest.mark.parametrize("name", ["threshold_graph.tsv", "pipeline_graph.tsv"])
+def test_write_edge_list_rewrites_the_graph_fixtures(tmp_path, monkeypatch, name, rows):
+    # scripts/make_fixtures.py writes these files with write_edge_list
+    if rows is not None:
+        monkeypatch.setattr(graph, "_WRITE_ROWS", rows)    # many chunks, the last one short
+    fixture = DATA / name
+    p = tmp_path / name
+    write_edge_list(p, load_edge_list(fixture)[0].edges())
+    assert p.read_bytes() == fixture.read_bytes()
+
+
+def test_write_edge_list_of_no_edges_is_an_empty_file(tmp_path):
+    p = tmp_path / "empty.tsv"
+    write_edge_list(p, np.empty((0, 2), np.int64))
+    assert p.read_bytes() == b""
+    write_edge_list(p, [])
+    assert p.read_bytes() == b""
 
 
 def test_write_then_load_round_trip(tmp_path):

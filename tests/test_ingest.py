@@ -31,6 +31,10 @@ def _file(data: bytes):
         yield p
 
 
+def _refuse(*args):
+    raise AssertionError("a plain file went to the row scanner")
+
+
 def _outcome(fn, *args):
     """A comparable summary: ('ok', value) or (error type, message, line)."""
     try:
@@ -220,6 +224,32 @@ def _read_summary(path, mode):
          f"a,3,{10**18 - 1},rebroadcast\n".encode(), block=64, mode="twitter")
 @example(data=f"{HEADER}\na,1,{2**63 - 1},submit\na,3,{2**63 - 1},rebroadcast\n"
          f"a,2,{2**63 - 1},rebroadcast\n".encode(), block=40, mode="digg")
+@example(data=(f"{HEADER}\n" + "".join(f"{i},{k},{k + 1},submit\n{i},{k + 1},{k + 2},rebroadcast\n"
+                                     for k, i in enumerate(["", "a" * 7, "b" * 8, "c" * 9, "d" * 16,
+                                                            "e" * 17]))).encode(),
+         block=4096, mode="digg")                      # item ids of 0, 7, 8, 9, 16 and 17 bytes
+@example(data=f"{HEADER}\nabcdefgh1,1,2,submit\nabcdefgh2,2,3,submit\nabcdefgh1,3,4,rebroadcast\n"
+         "abcdefghijklmnop1,4,5,submit\nabcdefghijklmnop2,5,6,submit\n"
+         "abcdefghijklmnop2,6,7,rebroadcast\nabcdefgh2,7,8,rebroadcast\n".encode(),
+         block=4096, mode="twitter")                   # items that share their first 8 or 16 bytes
+@example(data=f"{HEADER}\na,1,2,submit\na\x00,2,3,submit\na,3,4,rebroadcast\na\x00,4,5,rebroadcast\n"
+         .encode(), block=4096, mode="digg")
+@example(data=f"{HEADER}\na,1,2,Submit\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submiT\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,Rebroadcast\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,rebroaDcast\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,rebroadcasT\n".encode(), block=40, mode="digg")
+@example(data=f"{HEADER}\na,1,2,submit\na,2,3,rebroadcas\n".encode(), block=40, mode="digg")
+# a 12-byte row, the shortest plain row, ends every block that holds it
+@example(data=f"{HEADER}\nb,1,2,submit\n,3,4,submit\n".encode(), block=8, mode="digg")
+@example(data=f"{HEADER}\nb,1,2,submit\n,3,4,submit\n".encode(), block=9, mode="digg")
+@example(data=f"{HEADER}\nb,1,2,submit\n,3,4,submit\n".encode(), block=10, mode="digg")
+@example(data=f"{HEADER}\nb,1,2,submit\n,3,4,submit\n".encode(), block=11, mode="digg")
+@example(data=f"{HEADER}\nb,1,2,submit\n,3,4,submit\n".encode(), block=12, mode="digg")
+@example(data=f"{HEADER}\nb,1,2,submit\n,3,4,submit\n".encode(), block=13, mode="digg")
+@example(data=f"{HEADER}\nitem1,1,2,submit\nitem2,2,3,submit\nitem1,3,4,rebroadcast\n"
+         "item2,4,5,rebroadcast\nitem1,5,6,rebroadcast\nitem2,6,7,rebroadcast\n".encode(),
+         block=4096, mode="digg")                      # interleaved items
 def test_event_log_blocks_agree_with_row_scanner(data, block, mode):
     with _file(data) as p:
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
@@ -242,15 +272,39 @@ def test_event_log_bulk_path_takes_plain_files(tmp_path):
     assert log.get("b").rebroadcast_times.tolist() == [20]
 
 
-def test_an_item_hash_collision_goes_to_the_scanner(tmp_path):
-    # with every weight 1 an item hashes to its byte sum, so 'ab' and 'ba' collide
+def test_event_log_bulk_path_tells_items_apart_by_every_byte(tmp_path):
+    # item ids around the 8-byte words they are read in, sharing their first
+    # 8 or 16 bytes, and differing only in a trailing NUL byte; rows interleaved
+    items = ["", "a", "a\0", "a" * 7, "a" * 8, "a" * 9, "a" * 8 + "b", "a" * 16, "a" * 17,
+             "a" * 16 + "b"]
+    rows = [f"{i},{k},{k},submit" for k, i in enumerate(items)]
+    rows += [f"{i},{k + 100},{k + 1},rebroadcast" for k, i in reversed(list(enumerate(items)))]
     p = tmp_path / "ev.csv"
-    p.write_text(f"{HEADER}\nab,0,10,submit\nba,1,11,submit\nab,2,12,rebroadcast\n")
-    with mock.patch.object(empirics, "_hash_weights", lambda size: np.ones(size, np.uint64)):
-        assert empirics._read_plain_event_log(p, "digg") is None
-        log = read_event_log(p)
-    assert log.item_ids() == ["ab", "ba"]
-    assert log.get("ab").rebroadcast_users.tolist() == [2]
+    p.write_bytes("\n".join([HEADER] + rows + [""]).encode())
+    with mock.patch.object(empirics, "_scan_event_log", _refuse):
+        log = read_event_log(p, "twitter")
+    assert log.item_ids() == items
+    assert [it.rebroadcast_users.tolist() for it in log.items()] == [[k + 100] for k in range(10)]
+
+
+def test_an_item_hash_collision_goes_to_the_scanner(tmp_path):
+    # with every weight 0 every item hashes to 0, so 'ab' and 'ba' collide, and
+    # so do 'a' and 'a\0', whose masked words are equal too. Each submit fills
+    # a block of its own and the last block holds both rebroadcasts, so only
+    # the byte check can see that those two rows belong to different items
+    files = []
+    for k, (x, y) in enumerate([("ab", "ba"), ("a", "a\0")]):
+        path = tmp_path / f"ev{k}.csv"
+        path.write_text(f"{HEADER}\n{x},{10**17},1,submit\n{y},{10**17 + 1},1,submit\n"
+                        f"{x},2,2,rebroadcast\n{y},3,2,rebroadcast\n")
+        files.append((path, len(f"{x},{10**17},1,submit\n"), x, y))
+    for path, block, x, y in files:
+        with mock.patch.object(empirics, "_hash_weights", lambda size: np.zeros(size, np.uint64)), \
+                mock.patch.object(graph, "_BLOCK_BYTES", block):
+            assert empirics._read_plain_event_log(path, "digg") is None
+            log = read_event_log(path)
+        assert log.item_ids() == [x, y]
+        assert log.get(x).rebroadcast_users.tolist() == [2]
 
 
 def test_event_log_violation_reports_scanner_line(tmp_path):
@@ -293,10 +347,6 @@ def test_event_log_write_read_round_trip(log, block):
         with mock.patch.object(graph, "_BLOCK_BYTES", block):
             back = read_event_log(p, log.mode)
     assert _log_summary(back) == _log_summary(log)
-
-
-def _refuse(*args):
-    raise AssertionError("a plain file went to the row scanner")
 
 
 def test_fixtures_and_written_logs_never_reach_the_scanners(tmp_path):

@@ -207,6 +207,12 @@ def test_path_stats_closed_form_is_bounded_at_any_horizon():
     assert expected_path_stats(g, 0.5, horizon=5, method="series").method == "series"
 
 
+def test_path_stats_closed_form_above_the_bound_points_to_the_series():
+    g = build_graph(edges_complete(4))  # lambda1 = 3
+    with pytest.raises(NumericalError, match=r"supercritical.*alpha\*lambda1 < 1.*series"):
+        expected_path_stats(g, 0.5, horizon=5, method="closed-form")
+
+
 def test_path_stats_acyclic_series_is_finite_sum():
     g = build_graph(edges_chain(3))
     # walks: k=0 -> 3, k=1 -> 2 edges, k=2 -> 1
