@@ -36,7 +36,7 @@ _ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 # ends `submit`, and the words that start and end `rebroadcast`
 _SUBMIT_TOP, _REBROADC, _ROADCAST = (np.uint64(int.from_bytes(w, "little"))
                                      for w in (b"submit", b"rebroadc", b"roadcast"))
-_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)   # keep r bytes
 _INT64_MAX = 2**63 - 1
 _MAX_GAP_EXP = 16.0     # synthetic timestamp gaps are log-uniform below 2**_MAX_GAP_EXP
 
@@ -330,7 +330,7 @@ def _item_codes(block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np
     hashes = lengths.astype(np.uint64) * weights[size]
     for j in range(size):
         # a word with bytes left starts inside the item field; one past it is masked to 0
-        at = np.minimum(starts + 8 * j, words.size - 1) if j else starts
+        at = np.minimum(starts + 8 * j, words.size - 1)
         part = words[at] & _LOW_BYTES[np.clip(lengths - 8 * j, 0, 8)]
         hashes += part * weights[j]
         parts.append(part)

@@ -246,9 +246,9 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
         # the band straddles 1: dense/power estimates land 1 ulp either side
         if abs(1.0 - rho) < 1e-12:
             raise NumericalError("attenuation at the spectral singularity: series diverges")
-        if rho > 1.0 and infinite:
-            raise NumericalError("supercritical: finite horizon required")
         if rho > 1.0:
+            if infinite:
+                raise NumericalError("supercritical: finite horizon required")
             raise NumericalError("supercritical: the closed form needs alpha*lambda1 < 1; "
                                  'use method="series" at a finite horizon')
 
