@@ -134,10 +134,10 @@ def replay_joins(in_indptr, in_indices, source, users):
     every node p whose J fell offers each follower u the first position
     of u after J[p], and J[u] keeps the smallest offer; passes repeat
     until no J falls. The next frontier is the nodes whose J fell,
-    deduplicated through an n-slot marker as in ic_spread. Only users with repeat events need more than their
-    first position: they find the next one by binary search over sorted
-    user·(m+1) + position keys, which fit in int64 while the node count
-    times m + 1 does.
+    deduplicated through an n-slot marker as in ic_spread. Only users
+    with repeat events need more than their first position: they find
+    the next one by binary search over sorted user·(m+1) + position
+    keys, which fit in int64 while the node count times m + 1 does.
     """
     n = in_indptr.shape[0] - 1
     m = users.shape[0]

@@ -25,7 +25,7 @@ from .centrality import sweep
 from .dynamics import cascade_rounds
 from .errors import InputFormatError, NumericalError, ParameterError
 from .graph import DirectedGraph, _digit_fields, _line_blocks
-from .rng import SLOT_EDGE_BASE, stream_value, trial_base, unit_float
+from .rng import SLOT_EDGE_BASE, mix64_array, stream_value, trial_base, unit_float
 
 MODES = ("digg", "twitter")
 EVENT_LOG_HEADER = ("item_id", "user_id", "timestamp", "kind")
@@ -205,6 +205,8 @@ def _scan_event_log(path, mode: str) -> EventLog:
                     builder.add(item_id, user_id, timestamp, kind)
                 except ValueError as exc:
                     raise InputFormatError(str(exc), path=str(path), line=lineno) from None
+    except csv.Error as exc:     # a field over csv.field_size_limit()
+        raise InputFormatError(str(exc), path=str(path), line=reader.line_num) from None
     except OSError as exc:
         raise InputFormatError(str(exc), path=str(path)) from exc
     return builder.build()
@@ -316,30 +318,37 @@ def _item_codes(block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np
                 index: dict[bytes, int]) -> np.ndarray | None:
     """Item numbers of a block's rows, in any row order; None on a hash collision.
 
-    `words` is the block's stride-1 view of 64-bit words. A row's item
-    hashes to the sum of its 8-byte words, each masked to the field's
-    bytes and weighted by _hash_weights, plus its length times the last
-    weight. Only run heads, rows whose hash differs from the previous
-    row's, are grouped by np.unique, and every row's words and length
-    are checked against its group's first row. One token per group is
-    decoded, and new tokens join `index` in file order.
+    `words` is the block's stride-1 view of 64-bit words. An item field
+    of L bytes is read as its ceil(L / 8) words, each masked to the
+    field's bytes, so the work is linear in item bytes. A row's item
+    hashes to the sum of its words' mix64, each times the _hash_weights
+    weight of its place, plus its length times the last weight; mixing
+    first lets every byte reach all 64 bits. Only run heads, rows whose
+    hash differs from the previous row's, are grouped by np.unique, and
+    every row's words and length are checked against its group's first
+    row. One token per group is decoded, and new tokens join `index` in
+    file order.
     """
-    size = -(-int(lengths.max()) // 8)
-    weights = _hash_weights(size + 1)
-    parts = []
-    hashes = lengths.astype(np.uint64) * weights[size]
-    for j in range(size):
-        # a word with bytes left starts inside the item field; one past it is masked to 0
-        at = np.minimum(starts + 8 * j, words.size - 1)
-        part = words[at] & _LOW_BYTES[np.clip(lengths - 8 * j, 0, 8)]
-        hashes += part * weights[j]
-        parts.append(part)
+    nwords = (lengths + 7) >> 3
+    # row i's words are bounds[i]:bounds[i + 1] of the flat word list
+    bounds = np.zeros(nwords.size + 1, dtype=np.int64)
+    np.cumsum(nwords, out=bounds[1:])
+    place = np.arange(bounds[-1]) - np.repeat(bounds[:-1], nwords)
+    skip = 8 * place
+    # every word starts inside its item field, so its 8 bytes end inside the row
+    part = (words[np.repeat(starts, nwords) + skip]
+            & _LOW_BYTES[np.minimum(np.repeat(lengths, nwords) - skip, 8)])
+    weights = _hash_weights(int(nwords.max()) + 1)
+    sums = np.zeros(part.size + 1, dtype=np.uint64)
+    np.cumsum(mix64_array(part) * weights[place], out=sums[1:])
+    hashes = np.diff(sums[bounds]) + lengths.astype(np.uint64) * weights[-1]
     head = np.flatnonzero(np.r_[True, hashes[1:] != hashes[:-1]])
     _, at_head, group = np.unique(hashes[head], return_index=True, return_inverse=True)
     first = head[at_head]       # each group's first row
     group = np.repeat(group, np.diff(np.r_[head, hashes.size]))
     rep = first[group]
-    if (lengths[rep] != lengths).any() or any((part[rep] != part).any() for part in parts):
+    if ((lengths[rep] != lengths).any()
+            or (part[np.repeat(bounds[rep], nwords) + place] != part).any()):
         return None
     codes = np.empty(first.size, dtype=np.int64)
     for g in np.argsort(first).tolist():
@@ -349,7 +358,7 @@ def _item_codes(block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np
 
 
 def _hash_weights(size: int) -> np.ndarray:
-    # fixed random uint64 weights: one per 8-byte word of an item field, then its length's
+    # fixed random uint64 weights: one per 8-byte word place of an item field, then its length's
     return np.random.default_rng(0).integers(1, 2**64 - 1, size=size, dtype=np.uint64)
 
 

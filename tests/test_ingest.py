@@ -6,7 +6,9 @@ properties feed both routes the same small files, with the block size
 shrunk so that lines straddle block boundaries, and require the same
 graph and labels, the same log, or the same error and line.
 """
+import csv
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -234,6 +236,9 @@ def _read_summary(path, mode):
          block=4096, mode="twitter")                   # items that share their first 8 or 16 bytes
 @example(data=f"{HEADER}\na,1,2,submit\na\x00,2,3,submit\na,3,4,rebroadcast\na\x00,4,5,rebroadcast\n"
          .encode(), block=4096, mode="digg")
+@example(data=f"{HEADER}\naaaaaaaAaaaaaaaA,1,2,submit\naaaaaaaBaaaaaaaB,2,3,submit\n"
+         "aaaaaaaAaaaaaaaA,3,4,rebroadcast\naaaaaaaBaaaaaaaB,4,5,rebroadcast\n".encode(),
+         block=4096, mode="digg")                      # ids that differ at byte offsets 7 and 15
 @example(data=f"{HEADER}\na,1,2,Submit\n".encode(), block=40, mode="digg")
 @example(data=f"{HEADER}\na,1,2,submiT\n".encode(), block=40, mode="digg")
 @example(data=f"{HEADER}\na,1,2,submit\na,2,3,Rebroadcast\n".encode(), block=40, mode="digg")
@@ -285,6 +290,49 @@ def test_event_log_bulk_path_tells_items_apart_by_every_byte(tmp_path):
         log = read_event_log(p, "twitter")
     assert log.item_ids() == items
     assert [it.rebroadcast_users.tolist() for it in log.items()] == [[k + 100] for k in range(10)]
+
+
+def test_event_log_bulk_path_tells_apart_ids_that_differ_in_top_bytes(tmp_path):
+    # 676 ids that differ only at byte offsets 7 and 15, the top byte of each
+    # 64-bit word: unmixed words times weights would leave them 256 hashes
+    tops = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    items = [f"aaaaaaa{x}aaaaaaa{y}" for x in tops for y in tops]
+    p = tmp_path / "ev.csv"
+    p.write_text("\n".join([HEADER] + [f"{i},{k},{k},submit" for k, i in enumerate(items)] + [""]))
+    with mock.patch.object(empirics, "_scan_event_log", _refuse):
+        log = read_event_log(p, "twitter")
+    assert log.item_ids() == items
+
+
+def test_event_log_bulk_path_reads_one_long_id_in_linear_memory(tmp_path):
+    # one 64 KiB item id beside 4000 short rows in one block: the work is per
+    # item word, not per row times the longest id's words (262 MB here)
+    rows = ["x" * 2**16 + ",1,1,submit", "a,0,1,submit"]
+    rows += [f"a,{k},{k + 1},rebroadcast" for k in range(1, 4001)]
+    p = tmp_path / "ev.csv"
+    p.write_text("\n".join([HEADER] + rows + [""]))
+    tracemalloc.start()
+    try:
+        with mock.patch.object(graph, "_BLOCK_BYTES", 2**20), \
+                mock.patch.object(empirics, "_scan_event_log", _refuse):
+            log = read_event_log(p, "digg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.item_ids() == ["x" * 2**16, "a"]
+    assert log.get("a").rebroadcast_users.size == 4000
+    assert peak < 32 * 2**20
+
+
+def test_an_item_id_over_the_csv_field_limit_is_a_format_error(tmp_path):
+    p = tmp_path / "ev.csv"
+    p.write_text(f"{HEADER}\na,1,1,submit\n{'x' * (csv.field_size_limit() + 1)},2,2,submit\n")
+    try:
+        read_event_log(p)
+    except InputFormatError as exc:
+        assert exc.line == 3 and "field limit" in str(exc)
+    else:
+        raise AssertionError("an item id over the csv field limit was accepted")
 
 
 def test_an_item_hash_collision_goes_to_the_scanner(tmp_path):
