@@ -79,7 +79,7 @@ def pagerank(g: DirectedGraph, s=None, alpha: float = 0.85, tol: float = 1e-9,
 
 
 def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
-                     tol: float = 1e-9, max_iter: int = 100_000) -> CentralityScores:
+                     tol: float = 1e-9) -> CentralityScores:
     """Attenuated influence series cr = s (I - alpha A)^-1.
 
     The non-conservative accumulation with delta = 0 and x0 = s; s
@@ -92,8 +92,7 @@ def alpha_centrality(g: DirectedGraph, s=None, alpha: float = 0.0,
     sv, origin = _starting_vector(g, s, "indegree")
     if alpha * spectral_radius(g) >= 1.0 - SPECTRAL_GUARD:
         raise NumericalError("beyond spectral bound; use normalized variant")
-    x = nonconservative_accumulate(g, sv, ProcessConfig(NONCONSERVATIVE, alpha),
-                                   tol=tol, max_iter=max_iter)
+    x = nonconservative_accumulate(g, sv, ProcessConfig(NONCONSERVATIVE, alpha), tol=tol)
     return CentralityScores("alpha", alpha, x, origin)
 
 

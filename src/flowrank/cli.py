@@ -7,8 +7,9 @@ dict); once they succeed, one renderer streams them to stdout or
 digits and fields a fixed order, so identical inputs and seed produce
 byte-identical files. Exit codes: 0 success, 2 usage error (including a
 non-finite grid value, a range of more than _MAX_GRID_POINTS points, more
-threshold --trials than fit in memory, or a --window, --active-users or
---p-cut the screen cannot use: a ParameterError), 3 input format error
+threshold --trials than fit in memory, a spectral --tol that is not above
+0 or --max-iter below 1, or a --window, --active-users or --p-cut the
+screen cannot use: a ParameterError), 3 input format error
 (including an --output or stdout that cannot be written; a closed stdout
 pipe exits quietly), 4 numerical failure (including a simulate step that
 overflows); an alpha sweep exits at its first failing alpha.
@@ -167,6 +168,10 @@ def _starting_vector_arg(g, spec: str, parser: argparse.ArgumentParser) -> np.nd
 
 
 def _cmd_spectral(args, g, parser) -> dict:
+    if not args.tol > 0.0:
+        parser.error("--tol must be > 0")
+    if args.max_iter < 1:
+        parser.error("--max-iter must be >= 1")
     est = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
     report = {"lambda1": est.lambda1, "iterations": est.iterations, "residual": est.residual}
     if is_acyclic(g):

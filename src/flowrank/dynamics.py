@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, NumericalError
-from .graph import (DanglingPolicy, DirectedGraph, _as_weight_vector,
+from .graph import (DanglingPolicy, DirectedGraph, _as_weight_vector, _walk_terms,
                     adjacency_apply, replication_apply, transfer_apply)
 from .rng import SLOT_SEED_NODE, stream_value, trial_base, unit_float
 from .spectral import spectral_radius
@@ -96,6 +96,8 @@ def conservative_steady_state(g: DirectedGraph, x0, cfg: ProcessConfig,
     aperiodic strongly connected graphs, and anything else surfaces as a
     convergence error carrying the trailing differences.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     x = _as_weight_vector(g, x0).copy()
     history: list[float] = []
     for _ in range(1, max_iter + 1):
@@ -117,46 +119,35 @@ def nonconservative_step(g: DirectedGraph, delta_prev, cfg: ProcessConfig) -> np
 
 
 def nonconservative_accumulate(g: DirectedGraph, x0, cfg: ProcessConfig,
-                               horizon: int | None = None, tol: float = 1e-9,
-                               max_iter: int = 10_000) -> np.ndarray:
+                               horizon: int | None = None, tol: float = 1e-9) -> np.ndarray:
     """Sum of x0 (alpha R)^k for k = 0..horizon (or to convergence).
 
     The infinite-horizon sum exists only below the spectral bound
-    (delta + alpha*lambda1 < 1); it is cut off when the geometric tail
-    estimate falls below tol relative to the running sum. The tail rate
-    uses the observed term ratio, not just the spectral radius, because
-    non-normal adjacency can grow transiently before decaying.
+    (delta + alpha*lambda1 < 1). It stops once the geometric tail estimate
+    falls to tol * max(1, ||partial sum||_1), or raises ConvergenceError
+    after graph.MAX_TERMS terms. The tail rate uses the observed term
+    ratio, not just the spectral radius, because non-normal adjacency can
+    grow transiently before decaying.
     """
     if cfg.kind != NONCONSERVATIVE:
         raise ValueError("nonconservative_accumulate requires a nonconservative config")
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be >= 0")
     acc = _as_weight_vector(g, x0).copy()
-    term = acc.copy()
-    infinite = horizon is None
     rho = 0.0
-    if infinite:
+    if horizon is None:
         rho = cfg.delta + cfg.alpha * spectral_radius(g)
         if rho >= 1.0:
             raise NumericalError("supercritical: finite horizon required "
                                  f"(delta + alpha*lambda1 = {rho:.6g} >= 1)")
-    prev_norm = float(np.abs(term).sum())
-    history: list[float] = []
-    for _ in range(1, (max_iter if infinite else horizon) + 1):
-        term = nonconservative_step(g, term, cfg)
+    prev_norm = float(np.abs(acc).sum())
+    for term, norm in _walk_terms(g, acc.copy(), cfg.alpha, cfg.delta, horizon):
         acc += term
-        norm = float(np.abs(term).sum())
-        history.append(norm)
-        if norm == 0.0:
-            return acc
-        if infinite:
+        if horizon is None:
             q = max(rho, norm / prev_norm) if prev_norm > 0.0 else rho
             if q < 1.0 and norm * q / (1.0 - q) <= tol * max(1.0, float(np.abs(acc).sum())):
                 return acc
         prev_norm = norm
-    if infinite:
-        raise ConvergenceError("nonconservative accumulation did not converge",
-                               iterations=max_iter, history=history[-8:])
     return acc
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
-from .errors import InputFormatError
+from .errors import ConvergenceError, InputFormatError
 
 _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
 # Largest node count whose sort keys n*n fit in int64 (see build_graph).
@@ -26,6 +27,7 @@ MAX_NODES = 3_037_000_499
 _BLOCK_BYTES = 1 << 20      # load_edge_list reads the file in blocks of this size
 _MAX_DIGITS = 18            # every decimal of this many digits fits in int64
 _WRITE_ROWS = 1 << 16       # write_edge_list formats this many rows per write
+MAX_TERMS = 100_000         # an infinite walk series still running after this many terms fails
 
 
 class DanglingPolicy(enum.Enum):
@@ -220,6 +222,24 @@ def replication_apply(g: DirectedGraph, x, delta: float, alpha: float) -> np.nda
     if delta != 0.0:
         y += (delta / alpha) * xv
     return y
+
+
+def _walk_terms(g: DirectedGraph, x0: np.ndarray, alpha: float, delta: float = 0.0,
+                horizon: int | None = None):
+    """Terms x0 (alpha R)^k, k = 1, 2, ..., and their L1 norms, to a zero term or `horizon`.
+
+    An infinite series that its caller has not stopped by MAX_TERMS terms raises ConvergenceError.
+    """
+    norms: deque[float] = deque(maxlen=8)
+    term = x0
+    for _ in range(MAX_TERMS if horizon is None else horizon):
+        term = alpha * replication_apply(g, term, delta, alpha)
+        norms.append(float(np.abs(term).sum()))
+        yield term, norms[-1]
+        if norms[-1] == 0.0:
+            return
+    if horizon is None:
+        raise ConvergenceError("walk series did not converge", iterations=MAX_TERMS, history=norms)
 
 
 def indegree_vector(g: DirectedGraph) -> np.ndarray:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .graph import DirectedGraph, adjacency_apply
+from .graph import DirectedGraph, _walk_terms, adjacency_apply
 
 DENSE_CAP = 64
-_MAX_TERMS = 100_000        # an infinite-horizon walk series stops after this many terms
 
 _STALL_WINDOW = 100
 _STALL_IMPROVEMENT = 1e-6
@@ -108,8 +107,10 @@ def power_iteration(g: DirectedGraph, tol: float = 1e-10, max_iter: int = 5000) 
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     v = np.full(g.node_count, 1.0 / g.node_count)
     w = adjacency_apply(g, v)
     best: SpectralEstimate | None = None
@@ -231,7 +232,8 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
     form only where its derivation holds (infinite horizon, strongly
     connected, subcritical) and the series otherwise. An infinite
     horizon or the closed form raises NumericalError at or above the
-    spectral bound alpha*lambda1 = 1.
+    spectral bound alpha*lambda1 = 1, and an infinite series still
+    running after graph.MAX_TERMS terms raises ConvergenceError.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -240,14 +242,13 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be >= 0")
 
-    infinite = horizon is None
-    if infinite or method == "closed-form":
+    if horizon is None or method == "closed-form":
         rho = alpha * spectral_radius(g)
         # the band straddles 1: dense/power estimates land 1 ulp either side
         if abs(1.0 - rho) < 1e-12:
             raise NumericalError("attenuation at the spectral singularity: series diverges")
         if rho > 1.0:
-            if infinite:
+            if horizon is None:
                 raise NumericalError("supercritical: finite horizon required")
             raise NumericalError("supercritical: the closed form needs alpha*lambda1 < 1; "
                                  'use method="series" at a finite horizon')
@@ -256,22 +257,17 @@ def expected_path_stats(g: DirectedGraph, alpha: float, horizon: int | None = No
     paths = float(w.sum())
     length_num = 0.0
     length_den = 0.0
-    cap = horizon if horizon is not None else _MAX_TERMS
-    for k in range(1, cap + 1):
-        w = alpha * adjacency_apply(g, w)
-        term = float(w.sum())
-        if term == 0.0:
-            break
+    for k, (_, term) in enumerate(_walk_terms(g, w, alpha, horizon=horizon), 1):
         paths += term
         length_num += k * term
         length_den += term
-        if infinite and term < tol * paths:
+        if horizon is None and term < tol * paths:
             break
 
     # alpha = 0 leaves no positive-length terms: the mean is 0 whatever
     # the method, and the closed form's 1/(1-0) would be meaningless.
     if alpha > 0.0 and (method == "closed-form"
-                        or (method == "auto" and infinite and is_strongly_connected(g))):
+                        or (method == "auto" and horizon is None and is_strongly_connected(g))):
         length = 1.0 / (1.0 - rho)
         used = "closed-form"
     else:

@@ -6,6 +6,8 @@ routes is meaningful.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -156,3 +158,32 @@ def cascade_bfs_depths(out_indptr, out_indices, seeds, p: float, base: int) -> l
                 depth[v] = depth[u] + 1
                 queue.append(v)
     return depth
+
+
+def live_edge_reach(edges, seed: int, p: float) -> float:
+    """Exact expected independent-cascade reach of `seed`, the seed included.
+
+    Sums, over all 2^E live-edge sets (each edge open with probability
+    p), the probability of the set times the number of nodes it connects
+    to the seed (Kempe, Kleinberg & Tardos, KDD 2003). E is at most 12.
+    """
+    edges = [(int(a), int(b)) for a, b in edges]
+    if len(edges) > 12:
+        raise ValueError("live_edge_reach enumerates at most 12 edges")
+    terms = []
+    for bits in itertools.product((False, True), repeat=len(edges)):
+        prob = 1.0
+        out: dict[int, list[int]] = {}
+        for (a, b), live in zip(edges, bits):
+            prob *= p if live else 1.0 - p
+            if live:
+                out.setdefault(a, []).append(b)
+        seen = {int(seed)}
+        stack = list(seen)
+        while stack:
+            for v in out.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        terms.append(prob * len(seen))
+    return math.fsum(terms)

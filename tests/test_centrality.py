@@ -25,6 +25,7 @@ from flowrank import (
     rank,
     spectral_radius,
 )
+from flowrank import graph
 from flowrank.centrality import SPECTRAL_GUARD, sweep
 
 from oracles import (
@@ -130,15 +131,16 @@ def test_alpha_centrality_is_nonconservative_accumulation():
 
 # ------------------------------------------------------------------ guard band
 
-def test_alpha_centrality_guard_band_boundary():
+def test_alpha_centrality_guard_band_boundary(monkeypatch):
     g = build_graph(edges_ring(4))  # lambda1 = 1 exactly
     below = 1.0 - 2.0 * SPECTRAL_GUARD
     above = 1.0 - 0.5 * SPECTRAL_GUARD
     # below the band the call is accepted; the series is merely slow, so a
-    # tiny iteration budget surfaces an honest nonconvergence instead of
-    # the spectral rejection
-    with pytest.raises(ConvergenceError):
-        alpha_centrality(g, alpha=below, max_iter=50)
+    # tiny term cap surfaces an honest nonconvergence instead of the
+    # spectral rejection
+    with monkeypatch.context() as mp, pytest.raises(ConvergenceError):
+        mp.setattr(graph, "MAX_TERMS", 50)
+        alpha_centrality(g, alpha=below)
     for alpha in (above, 1.0, 2.0):
         with pytest.raises(NumericalError, match="normalized variant"):
             alpha_centrality(g, alpha=alpha)

@@ -206,6 +206,24 @@ def test_a_screen_option_the_log_rules_out_is_a_usage_error(argv, flag):
     assert stderr.getvalue().splitlines()[-1].startswith(f"flowrank: error: {flag} "), argv
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--max-iter", "0"], "--max-iter"),
+    (["--max-iter", "-3"], "--max-iter"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "0"], "--tol"),
+    (["--tol=-1e-9"], "--tol"),
+])
+def test_a_spectral_solver_setting_out_of_range_is_a_usage_error(flags, flag):
+    # not a numerical failure (exit 4) or an input error (exit 3): the flag is wrong
+    argv = ["spectral", "--graph", str(DATA / "pipeline_graph.tsv"), *flags]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2 and stdout.getvalue() == ""
+    assert stderr.getvalue().splitlines()[-1].startswith(f"flowrank: error: {flag} "), argv
+
+
 def test_an_empty_cohort_is_not_screened():
     # no submitter has 1000 items, so no urn is drawn and the window is never checked
     argv = ["influence", "--kind", "local", "--screen", "--window", "100000",

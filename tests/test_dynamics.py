@@ -19,12 +19,14 @@ from flowrank import (
     conservative_steady_state,
     conservative_step,
     independent_cascade,
+    is_acyclic,
     nonconservative_accumulate,
     nonconservative_step,
     sis_step,
     threshold_sweep,
 )
-from flowrank import _kernels
+from flowrank import _kernels, graph
+from flowrank.graph import _walk_terms, adjacency_apply
 from flowrank.rng import SLOT_EDGE_BASE, SLOT_SEED_NODE, stream_value, trial_base, unit_float
 
 from oracles import (
@@ -35,6 +37,7 @@ from oracles import (
     edges_chain,
     edges_ring,
     edges_star,
+    live_edge_reach,
     nonconservative_sum,
     random_sc_edges,
 )
@@ -168,6 +171,87 @@ def test_accumulate_supercritical_needs_horizon():
     assert np.all(np.isfinite(out))
 
 
+@hst.composite
+def _series_inputs(draw):
+    """A graph of 1-8 nodes, acyclic (so nilpotent) half the time, and a signed x0."""
+    n = draw(hst.integers(1, 8))
+    pairs = draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1)),
+                           max_size=3 * n))
+    if draw(hst.booleans()):
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+    x0 = draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return build_graph(pairs, node_count=n), np.asarray(x0)
+
+
+def _step_loop(step, x0, horizon):
+    # the walk-series loop as nonconservative_accumulate and expected_path_stats wrote it
+    term = x0
+    for _ in range(horizon):
+        term = step(term)
+        yield term, float(np.abs(term).sum())
+        if float(np.abs(term).sum()) == 0.0:
+            return
+
+
+def _outcome(walk):
+    # the bits of each term and norm, or the ValueError that ended the walk: with
+    # delta > 0 and a subnormal alpha, delta/alpha overflows and the next step
+    # meets a non-finite term
+    try:
+        with np.errstate(all="ignore"):
+            return [(t.tobytes(), np.float64(norm).tobytes()) for t, norm in walk]
+    except ValueError as exc:
+        return str(exc)
+
+
+CHAIN_4 = (build_graph(edges_chain(4)), np.ones(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_series_inputs(), alpha=hst.floats(0.0, 1.5), delta=hst.sampled_from([0.0, 0.3]),
+       horizon=hst.one_of(hst.none(), hst.integers(0, 25)))
+@example(inputs=CHAIN_4, alpha=1.0, delta=0.0, horizon=0)
+@example(inputs=CHAIN_4, alpha=1.0, delta=0.0, horizon=None)
+@example(inputs=CHAIN_4, alpha=0.0, delta=0.0, horizon=5)
+@example(inputs=CHAIN_4, alpha=2.2250738585e-313, delta=0.3, horizon=None)
+def test_walk_terms_equal_the_step_loops_bit_for_bit(inputs, alpha, delta, horizon):
+    g, x0 = inputs
+    if delta > 0.0 and alpha == 0.0:
+        alpha = 0.5     # R is undefined there
+    # an infinite series is compared on its first 30 terms
+    limit = 30 if horizon is None else horizon
+    walks = _outcome(itertools.islice(_walk_terms(g, x0, alpha, delta, horizon), limit))
+    cfg = _noncons(alpha, delta)
+    assert walks == _outcome(_step_loop(lambda x: nonconservative_step(g, x, cfg), x0, limit))
+    if delta == 0.0:
+        assert walks == _outcome(_step_loop(lambda x: alpha * adjacency_apply(g, x), x0, limit))
+        if is_acyclic(g):
+            # nilpotent: an infinite series ends with its zero term by the n-th
+            ends = list(_walk_terms(g, x0, alpha, horizon=horizon))
+            assert len(ends) <= min(g.node_count, limit)
+            assert horizon is not None or ends[-1][1] == 0.0
+
+
+def test_walk_terms_fail_at_the_term_cap_with_the_last_norms(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_TERMS", 20)
+    g = build_graph(edges_ring(3))
+    walks = _walk_terms(g, np.ones(3), 0.5)
+    norms = [norm for _, norm in itertools.islice(walks, 20)]
+    with pytest.raises(ConvergenceError, match=r"walk series did not converge \(after 20 ") as ei:
+        next(walks)
+    assert ei.value.iterations == 20
+    assert ei.value.history == tuple(norms[-8:])
+    # a finite horizon past the cap is not cut
+    assert len(list(_walk_terms(g, np.ones(3), 0.5, horizon=30))) == 30
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_steady_state_rejects_a_budget_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        conservative_steady_state(build_graph(edges_ring(3)), np.ones(3) / 3, _cons(0.5),
+                                  max_iter=max_iter)
+
+
 def test_steady_state_reports_history_on_nonconvergence():
     g = build_graph(random_sc_edges(30, 90, seed=13))
     x0 = np.ones(30) / 30
@@ -251,35 +335,12 @@ def test_cascade_trial_determinism_and_independence():
     assert any(o != a for o in others)
 
 
-def _enumerate_mean_outbreak(edges, n, seed_node, p):
-    """Exact E[|cascade|] by summing over all open-edge subsets."""
-    m = len(edges)
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=m):
-        prob = 1.0
-        adj = {}
-        for (a, b), open_ in zip(edges, bits):
-            prob *= p if open_ else (1.0 - p)
-            if open_:
-                adj.setdefault(a, []).append(b)
-        seen = {seed_node}
-        stack = [seed_node]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        total += prob * len(seen)
-    return total
-
-
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 def test_cascade_mean_matches_exact_enumeration(p):
     # 7 edges -> 128 subsets enumerated exactly
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 0), (1, 4)]
     g = build_graph(edges)
-    exact = _enumerate_mean_outbreak(edges, 5, 0, p)
+    exact = live_edge_reach(edges, 0, p)
     trials = 10_000
     sizes = [len(independent_cascade(g, [0], p, rng_seed=101, trial=t))
              for t in range(trials)]

@@ -14,6 +14,7 @@ from flowrank import (
     power_iteration,
     spectral_radius,
 )
+from flowrank import graph
 
 from oracles import (
     dense_adjacency,
@@ -56,6 +57,15 @@ def test_power_iteration_eigvec_is_left_eigenvector():
     resid = est.eigvec @ a - est.lambda1 * est.eigvec
     assert np.max(np.abs(resid)) < 1e-7
     assert abs(np.sum(np.abs(est.eigvec)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+    ({"tol": 0.0}, "tol"), ({"tol": -1e-9}, "tol"), ({"tol": float("nan")}, "tol"),
+])
+def test_power_iteration_rejects_bad_solver_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        power_iteration(build_graph(edges_ring(3)), **kwargs)
 
 
 def test_power_iteration_stalls_on_oscillating_spectrum():
@@ -190,6 +200,19 @@ def test_path_stats_supercritical_requires_horizon():
         expected_path_stats(g, alpha=0.5)
     st = expected_path_stats(g, alpha=0.5, horizon=10)
     assert np.isfinite(st.expected_paths)
+
+
+def test_path_stats_fail_at_the_term_cap(monkeypatch):
+    # a 50-node cycle at alpha = 1 - 1e-8 lies outside the singular band, but
+    # its series needs about 1e9 terms: stopping at the cap used to return
+    # expected_paths = 5.0e6 against a true 5.0e9
+    monkeypatch.setattr(graph, "MAX_TERMS", 1000)
+    g = build_graph(edges_ring(50))
+    with pytest.raises(ConvergenceError, match=r"walk series did not converge \(after 1000 "):
+        expected_path_stats(g, alpha=1.0 - 1e-8)
+    # a finite horizon past the cap is summed in full
+    st = expected_path_stats(g, alpha=0.5, horizon=2000)
+    assert st.expected_paths == pytest.approx(100.0, rel=1e-12)
 
 
 def test_path_stats_rejects_singularity():
