@@ -43,6 +43,10 @@ _BY_FORMAT = {
     "correlate": ["correlate", "--graph", G, "--events", E, "--measures",
                   "nalpha,pagerank,indegree", "--alpha-sweep", "0.05:0.15:0.05",
                   "--influence", "global", "--min-rebroadcasts", "5"],
+    # local influence runs the spam filter, the screen and the derived kind
+    "correlate_local": ["correlate", "--graph", G, "--events", E, "--measures",
+                        "nalpha,pagerank,indegree", "--alpha-sweep", "0.05:0.15:0.05",
+                        "--influence", "local", "--min-rebroadcasts", "5", "--p-cut", "0.5"],
 }
 CASES = {f"{name}_{fmt}": argv + ["--format", fmt]
          for name, argv in _BY_FORMAT.items() for fmt in ("csv", "json")}

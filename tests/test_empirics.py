@@ -522,6 +522,15 @@ def test_correlation_sweep_accepts_nalpha_alias():
     assert report.entries[0].measure == "normalized_alpha"
 
 
+def test_correlation_sweep_reports_a_local_cohort_as_local():
+    g, log = _sweep_fixture()
+    report = correlation_sweep(g, log, ["indegree", "pagerank"], [0.5], "local",
+                               min_rebroadcasts=0, entropy_threshold=None, p_cut=None)
+    assert report.influence_kind == "local"
+    assert len(report.entries) == 2
+    assert all(e.influence_kind == "local" for e in report.entries)
+
+
 def test_correlation_sweep_skips_undefined_alpha_rows():
     g, log = _sweep_fixture()
     from flowrank import spectral_radius
