@@ -10,6 +10,7 @@ that would make the suite flaky.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ sys.path.insert(0, str(REPO / "src"))
 from flowrank import (  # noqa: E402
     build_graph,
     correlation_sweep,
+    influence_cohort,
     power_iteration,
     synthesize_event_log,
     threshold_sweep,
@@ -43,6 +45,7 @@ PIPELINE = {
     "alpha_fracs": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
     "rng_seed": 4051,
     "min_rebroadcasts": 5,
+    "entropy_threshold": 3.0,   # correlate's default spam filter
 }
 
 
@@ -102,9 +105,9 @@ def make_pipeline_fixture() -> dict:
     print(f"[pipeline] lambda1={lam:.4f} p={p:.4f} "
           f"rebroadcasts per item: min={min(sizes)} max={max(sizes)}")
     alpha_grid = [round(f / lam, 6) for f in PIPELINE["alpha_fracs"]]
-    report = correlation_sweep(g, log, ["normalized_alpha", "pagerank"],
-                               alpha_grid, "global",
-                               min_rebroadcasts=PIPELINE["min_rebroadcasts"])
+    cohort = influence_cohort(log, g, "global", min_rebroadcasts=PIPELINE["min_rebroadcasts"],
+                              entropy_threshold=PIPELINE["entropy_threshold"])
+    report = correlation_sweep(g, cohort, ["normalized_alpha", "pagerank"], alpha_grid)
     by_alpha: dict[float, dict[str, float]] = {}
     for e in report.entries:
         by_alpha.setdefault(e.alpha, {})[e.measure] = e.pearson_r
@@ -140,8 +143,11 @@ def make_pipeline_fixture() -> dict:
          "--measures", "nalpha,pagerank",
          "--alpha-sweep", ",".join(str(a) for a in alpha_grid),
          "--influence", "global",
-         "--min-rebroadcasts", str(PIPELINE["min_rebroadcasts"])],
-        capture_output=True, text=True, cwd=REPO)
+         "--min-rebroadcasts", str(PIPELINE["min_rebroadcasts"]),
+         "--entropy-threshold", str(PIPELINE["entropy_threshold"])],
+        capture_output=True, text=True, cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))))
     if golden.returncode != 0:
         raise SystemExit(f"golden generation failed: {golden.stderr}")
     (DATA / "correlate_golden.csv").write_text(golden.stdout, encoding="utf-8")

@@ -7,9 +7,9 @@ dict); once they succeed, one renderer streams them to stdout or
 digits and fields a fixed order, so identical inputs and seed produce
 byte-identical files. Exit codes: 0 success, 2 usage error (including a
 non-finite grid value, a range of more than _MAX_GRID_POINTS points, more
-threshold --trials than fit in memory, a spectral --tol that is not above
-0 or --max-iter below 1, or a --window, --active-users or --p-cut the
-screen cannot use: a ParameterError), 3 input format error
+threshold --trials than fit in memory, and any flag outside the range the
+library accepts, which the library reports as a ParameterError naming the
+flag's keyword), 3 input format error
 (including an --output or stdout that cannot be written; a closed stdout
 pipe exits quietly), 4 numerical failure (including a simulate step that
 overflows); an alpha sweep exits at its first failing alpha.
@@ -39,8 +39,6 @@ _CLI_MEASURES = ("pagerank", "alpha", "nalpha", "eigenvector", "indegree")
 _CHUNK_ROWS = 65536
 _MAX_GRID_POINTS = 100_000   # a lo:hi:step grid with more points is a usage error
 _F12 = "{:.12g}".format
-# the flag that sets each library argument a ParameterError can name
-_PARAMETER_FLAGS = {"window": "--window", "active_users": "--active-users", "p_cut": "--p-cut"}
 
 
 class _Table(dict):
@@ -168,10 +166,6 @@ def _starting_vector_arg(g, spec: str, parser: argparse.ArgumentParser) -> np.nd
 
 
 def _cmd_spectral(args, g, parser) -> dict:
-    if not args.tol > 0.0:
-        parser.error("--tol must be > 0")
-    if args.max_iter < 1:
-        parser.error("--max-iter must be >= 1")
     est = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
     report = {"lambda1": est.lambda1, "iterations": est.iterations, "residual": est.residual}
     if is_acyclic(g):
@@ -245,10 +239,6 @@ def _cmd_simulate(args, g, parser) -> _Table:
 
 def _cmd_threshold(args, g, parser) -> _Table:
     grid = _parse_grid(args.grid, "--grid", parser)
-    if any(p < 0.0 or p > 1.0 for p in grid):
-        parser.error("--grid values must lie in [0, 1]")
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
     try:
         stats = threshold_sweep(g, grid, args.trials, args.seed)
     except MemoryError:
@@ -261,14 +251,19 @@ def _cmd_threshold(args, g, parser) -> _Table:
                   stderr=[s.stderr for s in stats])
 
 
+def _cohort(args, g, kind: str, entropy_threshold: float | None, p_cut: float | None) -> dict:
+    # the funnel options that influence and correlate share
+    return influence_cohort(
+        read_event_log(args.events, args.mode), g, kind, window=args.window,
+        min_items=args.min_items, min_rebroadcasts=args.min_rebroadcasts,
+        entropy_threshold=entropy_threshold, p_cut=p_cut, active_users=args.active_users)
+
+
 def _cmd_influence(args, g, parser) -> _Table:
     if args.screen and args.kind != "local":
         parser.error("--screen applies to --kind local only")
-    estimates = influence_cohort(
-        read_event_log(args.events, args.mode), g, args.kind, window=args.window,
-        min_items=args.min_items, min_rebroadcasts=args.min_rebroadcasts,
-        entropy_threshold=args.entropy_filter, p_cut=args.p_cut if args.screen else None,
-        active_users=args.active_users)
+    estimates = _cohort(args, g, args.kind, args.entropy_filter,
+                        args.p_cut if args.screen else None)
     ests = list(estimates.values())
     return _Table(user_id=list(estimates), n_items=[e.n_items for e in ests],
                   influence=[e.local if args.kind == "local" else e.global_ for e in ests],
@@ -286,13 +281,10 @@ def _cmd_correlate(args, g, parser) -> dict:
     for m in measures:
         if m not in _CLI_MEASURES:
             parser.error(f"unknown measure {m!r}; choose from {','.join(_CLI_MEASURES)}")
-    log = read_event_log(args.events, args.mode)
-    report = correlation_sweep(
-        g, log, measures, grid, args.influence, window=args.window,
-        min_items=args.min_items, min_rebroadcasts=args.min_rebroadcasts,
-        p_cut=None if args.no_significance else args.p_cut,
-        entropy_threshold=None if args.no_spam_filter else args.entropy_threshold,
-        active_users=args.active_users)
+    cohort = _cohort(args, g, args.influence,
+                     None if args.no_spam_filter else args.entropy_threshold,
+                     None if args.no_significance else args.p_cut)
+    report = correlation_sweep(g, cohort, measures, grid)
     fields = ("alpha", "measure", "influence_kind", "pearson_r", "cohort_size")
     return {"alpha_grid": report.alpha_grid, "influence_kind": report.influence_kind,
             "cohort_users": report.cohort_users,
@@ -400,7 +392,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 3    # stdout's reader has gone, as under `| head`: stop without a word
     except ParameterError as exc:
-        parser.error(f"{_PARAMETER_FLAGS[exc.name]} {exc.detail}")
+        parser.error(f"--{exc.name.replace('_', '-')} {exc.detail}")
     except (InputFormatError, ValueError) as exc:
         # data-dependent domain violations (ValueError) surface as input problems
         print(f"flowrank: input error: {exc}", file=sys.stderr)

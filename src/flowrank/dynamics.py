@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, NumericalError, ParameterError
 from .graph import (DanglingPolicy, DirectedGraph, _as_weight_vector, _walk_terms,
-                    adjacency_apply, replication_apply, transfer_apply)
+                    adjacency_apply, transfer_apply)
 from .rng import SLOT_SEED_NODE, stream_value, trial_base, unit_float
 from .spectral import spectral_radius
 
@@ -96,8 +96,10 @@ def conservative_steady_state(g: DirectedGraph, x0, cfg: ProcessConfig,
     aperiodic strongly connected graphs, and anything else surfaces as a
     convergence error carrying the trailing differences.
     """
+    if not tol > 0.0:
+        raise ParameterError("tol", "must be > 0")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise ParameterError("max_iter", "must be >= 1")
     x = _as_weight_vector(g, x0).copy()
     history: list[float] = []
     for _ in range(1, max_iter + 1):
@@ -115,7 +117,7 @@ def nonconservative_step(g: DirectedGraph, delta_prev, cfg: ProcessConfig) -> np
     """One application of Delta(t+1) = alpha Delta(t) R."""
     if cfg.kind != NONCONSERVATIVE:
         raise ValueError("nonconservative_step requires a nonconservative config")
-    return cfg.alpha * replication_apply(g, delta_prev, cfg.delta, cfg.alpha)
+    return next(_walk_terms(g, _as_weight_vector(g, delta_prev), cfg.alpha, cfg.delta, 1))[0]
 
 
 def nonconservative_accumulate(g: DirectedGraph, x0, cfg: ProcessConfig,
@@ -133,6 +135,8 @@ def nonconservative_accumulate(g: DirectedGraph, x0, cfg: ProcessConfig,
         raise ValueError("nonconservative_accumulate requires a nonconservative config")
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if not tol > 0.0:
+        raise ParameterError("tol", "must be > 0")
     acc = _as_weight_vector(g, x0).copy()
     rho = 0.0
     if horizon is None:
@@ -209,9 +213,9 @@ def threshold_sweep(g: DirectedGraph, grid, trials: int, rng_seed: int) -> list[
     """
     grid = [float(p) for p in grid]
     if any(p < 0.0 or p > 1.0 for p in grid):
-        raise ValueError("grid values must lie in [0, 1]")
+        raise ParameterError("grid", "values must lie in [0, 1]")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ParameterError("trials", "must be >= 1")
     n = g.node_count
     order = np.argsort(grid, kind="stable")
     ascending = np.asarray(grid, dtype=np.float64)[order]

@@ -648,34 +648,28 @@ class CorrelationReport:
     entries: tuple[CorrelationEntry, ...]
 
 
-def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
-                      influence_kind: str, *, window: int = 100, min_items: int = 2,
-                      min_rebroadcasts: int = 100, p_cut: float | None = 0.05,
-                      entropy_threshold: float | None = 3.0,
-                      active_users: int | None = None) -> CorrelationReport:
-    """Correlate centrality scores with empirical influence over an alpha grid.
+def correlation_sweep(g: DirectedGraph, cohort: dict[int, InfluenceEstimate], measures,
+                      alpha_grid) -> CorrelationReport:
+    """Correlate centrality scores with a cohort's empirical influence over an alpha grid.
 
-    The cohort is built once, by influence_cohort. Each (alpha,
-    measure) pair then contributes one Pearson r over the cohort. Pairs
-    where the measure is undefined at that alpha, or where its cohort
-    scores carry no variance, are skipped; zero variance in the
-    influence values themselves is an error.
+    `cohort` holds the estimates influence_cohort returns: all local or
+    all global, which sets the report's influence kind. Each (alpha,
+    measure) pair contributes one Pearson r over the cohort. Pairs where
+    the measure is undefined at that alpha, or where its cohort scores
+    carry no variance, are skipped; zero variance in the influence
+    values themselves is an error.
     """
-    if influence_kind not in ("local", "global"):
-        raise ValueError("influence_kind must be 'local' or 'global'")
     alpha_grid = tuple(float(a) for a in alpha_grid)
     cells = sweep(g, measures, alpha_grid, tol=1e-12)
-    estimates = influence_cohort(log, g, influence_kind, window=window, min_items=min_items,
-                                 min_rebroadcasts=min_rebroadcasts,
-                                 entropy_threshold=entropy_threshold, p_cut=p_cut,
-                                 active_users=active_users)
-
-    cohort = sorted(estimates)
-    if len(cohort) < 3:
-        raise NumericalError(f"cohort too small: {len(cohort)} users after screening, need >= 3")
-    cohort_idx = np.asarray(cohort, dtype=np.int64)
-    field = "local" if influence_kind == "local" else "global_"
-    influence = np.asarray([getattr(estimates[u], field) for u in cohort], dtype=np.float64)
+    users = sorted(cohort)
+    if len(users) < 3:
+        raise NumericalError(f"cohort too small: {len(users)} users after screening, need >= 3")
+    kind = "local" if cohort[users[0]].local is not None else "global"
+    influence = [cohort[u].local if kind == "local" else cohort[u].global_ for u in users]
+    if None in influence:
+        raise ValueError("cohort estimates must be all local or all global")
+    influence = np.asarray(influence, dtype=np.float64)
+    cohort_idx = np.asarray(users, dtype=np.int64)
     if np.ptp(influence) == 0.0:
         raise NumericalError("degenerate cohort")
 
@@ -684,11 +678,10 @@ def correlation_sweep(g: DirectedGraph, log: EventLog, measures, alpha_grid,
         if isinstance(scores, NumericalError) or np.ptp(scores.values[cohort_idx]) == 0.0:
             continue
         r = pearson_correlation(scores.values[cohort_idx], influence)
-        entries.append(CorrelationEntry(alpha=alpha, measure=measure,
-                                        influence_kind=influence_kind,
-                                        pearson_r=r, cohort_size=len(cohort)))
-    return CorrelationReport(alpha_grid=alpha_grid, influence_kind=influence_kind,
-                             cohort_users=tuple(cohort), entries=tuple(entries))
+        entries.append(CorrelationEntry(alpha=alpha, measure=measure, influence_kind=kind,
+                                        pearson_r=r, cohort_size=len(users)))
+    return CorrelationReport(alpha_grid=alpha_grid, influence_kind=kind,
+                             cohort_users=tuple(users), entries=tuple(entries))
 
 
 def synthesize_event_log(g: DirectedGraph, submitters, items_per_submitter: int,

@@ -25,8 +25,9 @@ class InputFormatError(FlowrankError):
 class ParameterError(FlowrankError, ValueError):
     """An argument value outside its domain, alone or for the data it meets.
 
-    `name` is the argument's keyword (`window`, `active_users`, `p_cut`);
-    the CLI reports the error as a usage error naming that argument's flag.
+    `name` is the argument's keyword, such as `max_iter` or `p_cut`; the
+    CLI reports the error as a usage error naming the flag `--max-iter` or
+    `--p-cut` that sets it.
     """
 
     def __init__(self, name: str, message: str):

@@ -228,12 +228,15 @@ def _walk_terms(g: DirectedGraph, x0: np.ndarray, alpha: float, delta: float = 0
                 horizon: int | None = None):
     """Terms x0 (alpha R)^k, k = 1, 2, ..., and their L1 norms, to a zero term or `horizon`.
 
-    An infinite series that its caller has not stopped by MAX_TERMS terms raises ConvergenceError.
+    Each term is formed as alpha x A + delta x, never through delta/alpha,
+    which overflows at a subnormal alpha. An infinite series that its
+    caller has not stopped by MAX_TERMS terms raises ConvergenceError.
     """
     norms: deque[float] = deque(maxlen=8)
     term = x0
     for _ in range(MAX_TERMS if horizon is None else horizon):
-        term = alpha * replication_apply(g, term, delta, alpha)
+        nxt = alpha * adjacency_apply(g, term)
+        term = nxt + delta * term if delta != 0.0 else nxt
         norms.append(float(np.abs(term).sum()))
         yield term, norms[-1]
         if norms[-1] == 0.0:

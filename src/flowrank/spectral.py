@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, NumericalError, ParameterError
 from .graph import DirectedGraph, _walk_terms, adjacency_apply
 
 DENSE_CAP = 64
@@ -108,9 +108,9 @@ def power_iteration(g: DirectedGraph, tol: float = 1e-10, max_iter: int = 5000) 
     if g.node_count == 0:
         raise ValueError("empty graph")
     if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+        raise ParameterError("tol", "must be > 0")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise ParameterError("max_iter", "must be >= 1")
     v = np.full(g.node_count, 1.0 / g.node_count)
     w = adjacency_apply(g, v)
     best: SpectralEstimate | None = None

@@ -224,6 +224,21 @@ def test_a_spectral_solver_setting_out_of_range_is_a_usage_error(flags, flag):
     assert stderr.getvalue().splitlines()[-1].startswith(f"flowrank: error: {flag} "), argv
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--grid", "0,2"], "--grid values must lie in [0, 1]"),
+    (["--grid", "0.5", "--trials", "0"], "--trials must be >= 1"),
+])
+def test_a_threshold_setting_out_of_range_is_a_usage_error(flags, line):
+    # threshold_sweep checks the range; the CLI names the flag of the keyword it reports
+    argv = ["threshold", "--graph", str(DATA / "threshold_graph.tsv"), *flags]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2 and stdout.getvalue() == ""
+    assert stderr.getvalue().splitlines()[-1] == f"flowrank: error: {line}"
+
+
 def test_an_empty_cohort_is_not_screened():
     # no submitter has 1000 items, so no urn is drawn and the window is never checked
     argv = ["influence", "--kind", "local", "--screen", "--window", "100000",

@@ -26,6 +26,7 @@ from flowrank import (
     threshold_sweep,
 )
 from flowrank import _kernels, graph
+from flowrank.errors import ParameterError
 from flowrank.graph import _walk_terms, adjacency_apply
 from flowrank.rng import SLOT_EDGE_BASE, SLOT_SEED_NODE, stream_value, trial_base, unit_float
 
@@ -100,6 +101,15 @@ def test_nonconservative_three_cycle_uniform():
     x0 = np.array([1.0, 1.0, 1.0])
     x = nonconservative_accumulate(g, x0, _noncons(alpha=0.5), tol=1e-12)
     assert np.max(np.abs(x - [2.0, 2.0, 2.0])) < 1e-9
+
+
+def test_nonconservative_step_at_a_subnormal_alpha_keeps_the_retained_copies():
+    # alpha R = delta I + alpha A is finite although delta/alpha overflows
+    g = build_graph(edges_ring(3))
+    cfg = _noncons(alpha=2.2e-313, delta=0.3)
+    x1 = nonconservative_step(g, np.ones(3), cfg)
+    assert x1.tolist() == [0.3, 0.3, 0.3]
+    assert nonconservative_step(g, x1, cfg).tolist() == [0.09, 0.09, 0.09]
 
 
 def test_nonconservative_star_mass_grows():
@@ -194,9 +204,7 @@ def _step_loop(step, x0, horizon):
 
 
 def _outcome(walk):
-    # the bits of each term and norm, or the ValueError that ended the walk: with
-    # delta > 0 and a subnormal alpha, delta/alpha overflows and the next step
-    # meets a non-finite term
+    # the bits of each term and norm, or the ValueError a non-finite term raises
     try:
         with np.errstate(all="ignore"):
             return [(t.tobytes(), np.float64(norm).tobytes()) for t, norm in walk]
@@ -213,6 +221,7 @@ CHAIN_4 = (build_graph(edges_chain(4)), np.ones(4))
 @example(inputs=CHAIN_4, alpha=1.0, delta=0.0, horizon=0)
 @example(inputs=CHAIN_4, alpha=1.0, delta=0.0, horizon=None)
 @example(inputs=CHAIN_4, alpha=0.0, delta=0.0, horizon=5)
+# a subnormal alpha, at which delta/alpha overflows
 @example(inputs=CHAIN_4, alpha=2.2250738585e-313, delta=0.3, horizon=None)
 def test_walk_terms_equal_the_step_loops_bit_for_bit(inputs, alpha, delta, horizon):
     g, x0 = inputs
@@ -250,6 +259,17 @@ def test_steady_state_rejects_a_budget_below_one(max_iter):
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
         conservative_steady_state(build_graph(edges_ring(3)), np.ones(3) / 3, _cons(0.5),
                                   max_iter=max_iter)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("solve", [
+    lambda g, tol: conservative_steady_state(g, np.ones(3) / 3, _cons(0.5), tol=tol),
+    lambda g, tol: nonconservative_accumulate(g, np.ones(3), _noncons(0.5), tol=tol),
+], ids=["steady_state", "accumulate"])
+def test_series_reject_a_tolerance_not_above_zero(solve, tol):
+    # no residual compares below nan, so no series could stop on it
+    with pytest.raises(ParameterError, match="tol must be > 0"):
+        solve(build_graph(edges_ring(3)), tol)
 
 
 def test_steady_state_reports_history_on_nonconvergence():

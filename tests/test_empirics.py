@@ -506,9 +506,8 @@ def _sweep_fixture():
 
 def test_correlation_sweep_alpha_zero_equals_indegree():
     g, log = _sweep_fixture()
-    report = correlation_sweep(g, log, ["alpha", "indegree"], [0.0], "global",
-                               min_rebroadcasts=0, entropy_threshold=None,
-                               p_cut=None)
+    report = correlation_sweep(g, influence_cohort(log, g, "global"), ["alpha", "indegree"],
+                               [0.0])
     by_measure = {e.measure: e for e in report.entries}
     assert by_measure["alpha"].pearson_r == pytest.approx(
         by_measure["indegree"].pearson_r, abs=1e-12)
@@ -517,15 +516,14 @@ def test_correlation_sweep_alpha_zero_equals_indegree():
 
 def test_correlation_sweep_accepts_nalpha_alias():
     g, log = _sweep_fixture()
-    report = correlation_sweep(g, log, ["nalpha"], [0.1], "global",
-                               min_rebroadcasts=0, entropy_threshold=None)
+    report = correlation_sweep(g, influence_cohort(log, g, "global"), ["nalpha"], [0.1])
     assert report.entries[0].measure == "normalized_alpha"
 
 
 def test_correlation_sweep_reports_a_local_cohort_as_local():
     g, log = _sweep_fixture()
-    report = correlation_sweep(g, log, ["indegree", "pagerank"], [0.5], "local",
-                               min_rebroadcasts=0, entropy_threshold=None, p_cut=None)
+    report = correlation_sweep(g, influence_cohort(log, g, "local"), ["indegree", "pagerank"],
+                               [0.5])
     assert report.influence_kind == "local"
     assert len(report.entries) == 2
     assert all(e.influence_kind == "local" for e in report.entries)
@@ -535,9 +533,8 @@ def test_correlation_sweep_skips_undefined_alpha_rows():
     g, log = _sweep_fixture()
     from flowrank import spectral_radius
     bad = 1.0 / spectral_radius(g)  # singular for the normalized measure
-    report = correlation_sweep(g, log, ["normalized_alpha", "indegree"],
-                               [bad], "global", min_rebroadcasts=0,
-                               entropy_threshold=None)
+    report = correlation_sweep(g, influence_cohort(log, g, "global"),
+                               ["normalized_alpha", "indegree"], [bad])
     measures = [e.measure for e in report.entries]
     assert "indegree" in measures and "normalized_alpha" not in measures
 
@@ -550,10 +547,9 @@ def test_correlation_sweep_combined_equals_single_measure_sweeps():
     lam = spectral_radius(g)
     grid = [0.0, 0.3 / lam, 0.9 / lam, 1.0 / lam, 1.5 / lam]
     measures = ["nalpha", "alpha", "pagerank"]
-    kw = dict(min_rebroadcasts=0, entropy_threshold=None)
-    combined = correlation_sweep(g, log, measures, grid, "global", **kw).entries
-    singles = [e for m in measures
-               for e in correlation_sweep(g, log, [m], grid, "global", **kw).entries]
+    cohort = influence_cohort(log, g, "global")
+    combined = correlation_sweep(g, cohort, measures, grid).entries
+    singles = [e for m in measures for e in correlation_sweep(g, cohort, [m], grid).entries]
     names = ["normalized_alpha", "alpha", "pagerank"]
     singles.sort(key=lambda e: (grid.index(e.alpha), names.index(e.measure)))
     assert combined == tuple(singles)
@@ -562,7 +558,7 @@ def test_correlation_sweep_combined_equals_single_measure_sweeps():
     assert ("normalized_alpha", 1.0 / lam) not in {(e.measure, e.alpha) for e in combined}
     # alpha > 1 is skipped by the alpha measure, then rejected by the normalized one
     with pytest.raises(ValueError, match="normalized alpha centrality requires"):
-        correlation_sweep(g, log, ["alpha", "nalpha"], [1.5], "global", **kw)
+        correlation_sweep(g, cohort, ["alpha", "nalpha"], [1.5])
 
 
 def test_correlation_sweep_computes_each_alpha_series_once(monkeypatch):
@@ -584,8 +580,8 @@ def test_correlation_sweep_computes_each_alpha_series_once(monkeypatch):
     g, log = _sweep_fixture()
     lam = spectral_radius(g)
     grid = [0.2 / lam, 0.5 / lam, 0.8 / lam]
-    report = correlation_sweep(g, log, ["nalpha", "alpha", "eigenvector", "pagerank"], grid,
-                               "global", min_rebroadcasts=0, entropy_threshold=None)
+    report = correlation_sweep(g, influence_cohort(log, g, "global"),
+                               ["nalpha", "alpha", "eigenvector", "pagerank"], grid)
     assert len(report.entries) == 12
     # the measure without an alpha is scored once per grid, at its first alpha
     assert calls == [grid[0], "eigenvector", *grid[1:]]
@@ -596,14 +592,16 @@ def test_correlation_sweep_counts_active_users_only_for_the_screen(monkeypatch):
     user_ids = EventLog.user_ids
     monkeypatch.setattr(EventLog, "user_ids", lambda log: counted.append(log) or user_ids(log))
     g, log = _sweep_fixture()
-    kw = dict(min_rebroadcasts=0, window=5, p_cut=1.0)
-    correlation_sweep(g, log, ["indegree"], [0.0], "global", **kw)
-    correlation_sweep(g, log, ["indegree"], [0.0], "local", **dict(kw, p_cut=None))
-    correlation_sweep(g, log, ["indegree"], [0.0], "local", active_users=60, **kw)
+    kw = dict(window=5, entropy_threshold=3.0, p_cut=1.0)
+    correlation_sweep(g, influence_cohort(log, g, "global", **kw), ["indegree"], [0.0])
+    correlation_sweep(g, influence_cohort(log, g, "local", **dict(kw, p_cut=None)),
+                      ["indegree"], [0.0])
+    correlation_sweep(g, influence_cohort(log, g, "local", active_users=60, **kw),
+                      ["indegree"], [0.0])
     assert counted == []
     # the spam filter drops items here; the screen still counts the log as read
     assert len(spam_filter(log)) < len(log)
-    correlation_sweep(g, log, ["indegree"], [0.0], "local", **kw)
+    correlation_sweep(g, influence_cohort(log, g, "local", **kw), ["indegree"], [0.0])
     assert counted == [log]
 
 
@@ -615,8 +613,7 @@ def test_correlation_sweep_degenerate_cohort():
         recs += [_submit(f"i{i}a", u, 0), _submit(f"i{i}b", u, 5)]
     log = from_records(recs)
     with pytest.raises(NumericalError, match="degenerate cohort"):
-        correlation_sweep(g, log, ["indegree"], [0.0], "global",
-                          min_rebroadcasts=0, entropy_threshold=None)
+        correlation_sweep(g, influence_cohort(log, g, "global"), ["indegree"], [0.0])
 
 
 def test_correlation_sweep_small_cohort_errors():
@@ -624,16 +621,20 @@ def test_correlation_sweep_small_cohort_errors():
     recs = [_submit("a", 0, 0), _submit("b", 0, 5)]
     log = from_records(recs)
     with pytest.raises(NumericalError, match="cohort too small"):
-        correlation_sweep(g, log, ["indegree"], [0.0], "global",
-                          min_rebroadcasts=0, entropy_threshold=None)
+        correlation_sweep(g, influence_cohort(log, g, "global"), ["indegree"], [0.0])
 
 
 def test_correlation_sweep_validates_inputs():
     g, log = _sweep_fixture()
-    with pytest.raises(ValueError, match="influence_kind"):
-        correlation_sweep(g, log, ["indegree"], [0.0], "both")
+    with pytest.raises(ValueError, match="influence kind"):
+        influence_cohort(log, g, "both")
+    cohort = influence_cohort(log, g, "global")
     with pytest.raises(ValueError, match="unknown measure"):
-        correlation_sweep(g, log, ["betweenness"], [0.0], "global")
+        correlation_sweep(g, cohort, ["betweenness"], [0.0])
+    # one cohort ranks users by one kind of influence
+    user, local = next(iter(influence_cohort(log, g, "local").items()))
+    with pytest.raises(ValueError, match="all local or all global"):
+        correlation_sweep(g, {**cohort, user: local}, ["indegree"], [0.0])
 
 
 # ------------------------------------------------------------------- synthesis

@@ -13,6 +13,7 @@ from flowrank import (
     build_graph,
     correlation_sweep,
     epidemic_threshold,
+    influence_cohort,
     is_acyclic,
     is_strongly_connected,
     load_edge_list,
@@ -44,9 +45,9 @@ def test_correlation_sweep_solves_lambda1_once(monkeypatch):
     assert g.node_count > spectral.DENSE_CAP   # lambda1 comes from power iteration
     log = read_event_log(DATA / "pipeline_events.csv")
     lam = spectral_radius(g)
-    report = correlation_sweep(g, log, ["nalpha", "alpha", "pagerank"],
-                               [0.1 / lam, 0.2 / lam, 0.3 / lam], "global",
-                               min_rebroadcasts=5)
+    cohort = influence_cohort(log, g, "global", min_rebroadcasts=5, entropy_threshold=3.0)
+    report = correlation_sweep(g, cohort, ["nalpha", "alpha", "pagerank"],
+                               [0.1 / lam, 0.2 / lam, 0.3 / lam])
     assert len(report.entries) == 9
     assert (len(acyclic_calls), len(power_calls)) == (1, 1)
 
